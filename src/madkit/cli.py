@@ -20,6 +20,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 import madkit
 from madkit.distributions import DEFAULT_SENSITIVITY_SET, parse_spec
 from madkit.errors import InternalCheckError, MadkitError
@@ -79,22 +81,22 @@ def _range(text: str) -> tuple[float, float]:
 
 def _default_threads() -> int:
     env = os.environ.get("MADKIT_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise MadkitError(f"MADKIT_THREADS must be a positive integer, got {env!r}")
+    return threads
 
 
-def _read_numbers(path: str) -> list[float]:
-    if path == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+def _parse_lines(text: str) -> list[float]:
+    # Token by token, so a failure names its line; the reference for the
+    # one-pass parse in _read_numbers, which falls back to it on any failure.
     values = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         for token in line.replace(",", " ").split():
             try:
                 value = float(token)
@@ -103,6 +105,32 @@ def _read_numbers(path: str) -> list[float]:
             if value != value or value in (float("inf"), float("-inf")):
                 raise MadkitError(f"line {lineno}: non-finite value {token!r} rejected")
             values.append(value)
+    return values
+
+
+def _read_numbers(path: str) -> np.ndarray:
+    """Numbers separated by whitespace or commas, from a file or stdin ("-").
+
+    One pass over the whole text parses every token with ``float`` into a
+    float64 array and checks finiteness vectorised; no per-line list is
+    built and the token list is dropped once parsed.  Only when a token
+    fails to parse or is NaN/infinite is the text re-read line by line
+    (``_parse_lines``), so the error names the first bad token's line
+    exactly as a line-by-line parse would.
+    """
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    tokens = text.replace(",", " ").split()
+    try:
+        values = np.fromiter(map(float, tokens), np.float64, count=len(tokens))
+    except ValueError:
+        values = None
+    del tokens
+    if values is None or not np.isfinite(values).all():
+        values = np.asarray(_parse_lines(text), dtype=np.float64)
     return values
 
 
@@ -115,9 +143,14 @@ def _write_report(body: str, out_path, provenance: str) -> None:
         sys.stdout.write(text)
 
 
-def _provenance(args) -> str:
+def _provenance(config: SimulationConfig) -> str:
+    # With the version, these fix the CSV body of factors and efficiency;
+    # sensitivity also depends on the distributions, not recorded here.
     return (
-        f"# seed={args.seed} reps={args.reps} version={madkit.__version__}\n"
+        f"# seed={config.master_seed} reps={config.repetitions} "
+        f"version={madkit.__version__} chunk_size={config.chunk_size} "
+        f"n={','.join(map(str, config.sample_sizes))} "
+        f"estimators={','.join(est.label for est in config.estimators)}\n"
     )
 
 
@@ -221,20 +254,23 @@ def _threads_of(args) -> int:
 
 
 def _cmd_factors(args) -> int:
-    report = estimate_factors(_config_from(args), threads=_threads_of(args))
-    _write_report(report.to_csv(), args.out, _provenance(args))
+    config = _config_from(args)
+    report = estimate_factors(config, threads=_threads_of(args))
+    _write_report(report.to_csv(), args.out, _provenance(config))
     return 0
 
 
 def _cmd_efficiency(args) -> int:
-    report = efficiency(_config_from(args), threads=_threads_of(args))
-    _write_report(report.to_csv(), args.out, _provenance(args))
+    config = _config_from(args)
+    report = efficiency(config, threads=_threads_of(args))
+    _write_report(report.to_csv(), args.out, _provenance(config))
     return 0
 
 
 def _cmd_sensitivity(args) -> int:
-    report = sensitivity(_config_from(args, need_dists=True), threads=_threads_of(args))
-    _write_report(report.to_csv(), args.out, _provenance(args))
+    config = _config_from(args, need_dists=True)
+    report = sensitivity(config, threads=_threads_of(args))
+    _write_report(report.to_csv(), args.out, _provenance(config))
     return 0
 
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import madkit
 from madkit.cli import main
 
 
@@ -87,6 +88,67 @@ class TestMadCommand:
         assert float(out.splitlines()[1].split(",")[3]) == 1.7722
 
 
+GOOD_INPUTS = {
+    "mixed separators": "1, 2\t3\n\n4,5 ,6\r\n\t7\n,8,\n",
+    "exponents": "1e3 -2.5E-4\n6.02e23, 1e-300\n",
+    "underscores": "1_000 2_500.5\n3\n",
+    "leading plus": "+1 +2.5\n-3 +4e1\n",
+}
+BAD_INPUTS = {
+    "unparsable": "1 2\n3,4\n5 bogus 6\n",
+    "nan": "1\n2 nan\n",
+    "inf": "1,2\n\n3 inf\n",
+    "-inf": "1\n-inf 4\n",
+}
+
+
+class TestReadNumbers:
+    """The one-pass parse against the line-by-line loop it falls back to."""
+
+    @pytest.mark.parametrize("name", sorted(GOOD_INPUTS))
+    def test_fast_path_same_doubles(self, name, tmp_path, monkeypatch):
+        import numpy as np
+
+        from madkit import cli
+
+        text = GOOD_INPUTS[name]
+        expected = cli._parse_lines(text)
+        path = tmp_path / "data.txt"
+        path.write_text(text)
+
+        def no_fallback(text):
+            raise AssertionError("valid input must not need the line-by-line parse")
+
+        monkeypatch.setattr(cli, "_parse_lines", no_fallback)
+        got = cli._read_numbers(str(path))
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), np.asarray(expected).view(np.uint64))
+
+    @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_errors_name_the_line(self, name, source, capsys, monkeypatch, tmp_path):
+        from madkit import cli
+        from madkit.errors import MadkitError
+
+        text = BAD_INPUTS[name]
+        with pytest.raises(MadkitError) as reference:
+            cli._parse_lines(text)
+        if source == "file":
+            path = tmp_path / "data.txt"
+            path.write_text(text)
+            code, out, err = run_cli(["mad", str(path)], capsys)
+        else:
+            code, out, err = run_cli(["mad", "-"], capsys, text, monkeypatch)
+        assert code == 2 and out == ""
+        assert err == f"madkit: {reference.value}\n"
+
+    def test_error_text_pinned(self, capsys, monkeypatch):
+        _, _, err = run_cli(["mad", "-"], capsys, BAD_INPUTS["unparsable"], monkeypatch)
+        assert err == "madkit: line 3: could not parse 'bogus' as a number\n"
+        _, _, err = run_cli(["mad", "-"], capsys, BAD_INPUTS["-inf"], monkeypatch)
+        assert err == "madkit: line 2: non-finite value '-inf' rejected\n"
+
+
 class TestFactorsCommand:
     def test_single_row_value(self, capsys):
         code, out, _ = run_cli(
@@ -95,7 +157,10 @@ class TestFactorsCommand:
             capsys,
         )
         assert code == 0
-        assert out.startswith("# seed=42 reps=100000 version=")
+        assert out.splitlines()[0] == (
+            f"# seed=42 reps=100000 version={madkit.__version__} "
+            "chunk_size=16384 n=2 estimators=sm"
+        )
         header, row = body_of(out).strip().splitlines()
         assert header == "n,estimator,m_n,c_n,std_error,repetitions"
         c_n = float(row.split(",")[3])
@@ -121,6 +186,20 @@ class TestFactorsCommand:
         code, _, err = run_cli(["factors", "--n", "2", "--reps", "10"], capsys)
         assert code == 2
         assert "repetitions" in err
+
+
+class TestProvenance:
+    @pytest.mark.parametrize("command", ["factors", "efficiency", "sensitivity"])
+    def test_line_records_full_config(self, command, capsys):
+        args = [command, "--n", "3,5", "--reps", "200", "--seed", "9", "--chunk-size", "64"]
+        if command == "sensitivity":
+            args += ["--dist", "uniform(a=0,b=1)"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert out.splitlines()[0] == (
+            f"# seed=9 reps=200 version={madkit.__version__} "
+            "chunk_size=64 n=3,5 estimators=sm,hd,thd-sqrt"
+        )
 
 
 class TestEfficiencyCommand:
@@ -203,6 +282,20 @@ class TestThreadsAndInternalChecks:
         monkeypatch.delenv("MADKIT_THREADS")
         _, without_env, _ = run_cli(args, capsys)
         assert body_of(with_env) == body_of(without_env)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_malformed_threads_env_exits_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MADKIT_THREADS", value)
+        code, out, err = run_cli(["factors", "--n", "2", "--reps", "2000"], capsys)
+        assert code == 2 and out == ""
+        assert err == f"madkit: MADKIT_THREADS must be a positive integer, got {value!r}\n"
+
+    def test_threads_flag_overrides_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("MADKIT_THREADS", "abc")
+        code, _, _ = run_cli(
+            ["factors", "--n", "2", "--reps", "2000", "--threads", "2"], capsys
+        )
+        assert code == 0
 
     def test_internal_check_failure_exits_3(self, capsys, monkeypatch):
         from madkit import cli

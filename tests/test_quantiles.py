@@ -92,9 +92,9 @@ class TestHdWeights:
             hd_weights(5, p)
 
     def test_symmetry_at_median(self):
-        for n in (2, 3, 10, 41, 100):
-            w = hd_weights(n, 0.5).weights
-            assert np.array_equal(w, w[::-1])
+        for n in (1, 2, 3, 4, 5, 10, 41, 100, 101, 1000, 100_000):
+            for w in (hd_weights(n, 0.5).weights, thd_weights(n, 0.5, 1 / math.sqrt(n)).weights):
+                assert np.array_equal(w, w[::-1])
 
     def test_no_hdi_field(self):
         assert hd_weights(4, 0.3).hdi is None
@@ -303,6 +303,119 @@ class TestWeightProperties:
                 x2 = x.copy()
                 x2[i] += abs(rng.standard_normal()) + 0.1
                 assert median(Sample(x2), kind) >= base - 1e-12
+
+
+def _dense_hd_reference(n, p):
+    # The full grid, one Beta-CDF evaluation per order statistic.
+    from madkit.quantiles import _hd_params, _symmetrize
+    from madkit.specfun import reg_inc_beta
+
+    params = _hd_params(n, p)
+    cdf = np.empty(n + 1)
+    for i in range(n + 1):
+        cdf[i] = reg_inc_beta(i / n, params)
+    w = np.diff(cdf)
+    return _symmetrize(w) if p == 0.5 else w
+
+
+def _dense_thd_reference(n, p, width):
+    # Clamp the CDF to the HDI and renormalize, order statistic by order statistic.
+    from madkit.quantiles import _hd_params, _symmetrize
+    from madkit.specfun import reg_inc_beta
+
+    params = _hd_params(n, p)
+    hdi = beta_hdi(params, width)
+    if hdi is None:
+        return _dense_hd_reference(n, p)
+    left, right = hdi
+    cdf_left = reg_inc_beta(left, params)
+    denom = reg_inc_beta(right, params) - cdf_left
+    w = np.zeros(n)
+    prev = 0.0
+    for i in range(math.floor(left * n) + 1, math.ceil(right * n) + 1):
+        c = (reg_inc_beta(min(max(i / n, left), right), params) - cdf_left) / denom
+        w[i - 1] = c - prev
+        prev = c
+    return _symmetrize(w) if p == 0.5 else w
+
+
+WINDOW_NS = (1, 2, 3, 4, 5, 10, 100, 101, 1000, 100_000)
+WINDOW_PS = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
+
+
+class TestWeightWindow:
+    """The windowed, cached weights against the dense per-order-statistic loop."""
+
+    @pytest.mark.parametrize("n", WINDOW_NS)
+    def test_hd_matches_dense_loop(self, n):
+        for p in WINDOW_PS:
+            w = hd_weights(n, p).weights
+            assert np.max(np.abs(w - _dense_hd_reference(n, p))) <= 1e-15
+            assert w.sum() == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n", WINDOW_NS)
+    def test_thd_matches_dense_loop(self, n):
+        width = 1 / math.sqrt(n)
+        for p in WINDOW_PS:
+            w = thd_weights(n, p, width).weights
+            assert np.max(np.abs(w - _dense_thd_reference(n, p, width))) <= 1e-15
+            assert w.sum() == pytest.approx(1.0, abs=1e-14)
+
+    def test_returned_arrays_cannot_corrupt_cache(self):
+        for build in (lambda: hd_weights(50, 0.5), lambda: thd_weights(50, 0.5, 0.2)):
+            first = build().weights
+            with pytest.raises(ValueError):
+                first[0] = 1.0
+            second = build().weights
+            with pytest.raises(ValueError):
+                second[0] = 1.0
+            assert np.array_equal(first, second)
+
+
+class TestWeightCost:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from madkit import quantiles
+
+        quantiles._cdf_window.cache_clear()
+        counter = {"calls": 0}
+        real = quantiles.reg_inc_beta
+
+        def counting(v, params):
+            counter["calls"] += 1
+            return real(v, params)
+
+        monkeypatch.setattr(quantiles, "reg_inc_beta", counting)
+        yield counter
+        quantiles._cdf_window.cache_clear()
+
+    def test_hd_window_is_sublinear(self, calls):
+        hd_weights(100_000, 0.5)
+        assert 0 < calls["calls"] <= 4000
+
+    @pytest.mark.parametrize("kind", [HD, THD_SQRT])
+    def test_one_build_per_n_and_estimator(self, calls, kind):
+        from madkit import quantiles
+        from madkit.mad import mad_corrected
+
+        median_weights(5000, kind)
+        one_build = calls["calls"]
+        quantiles._cdf_window.cache_clear()
+        calls["calls"] = 0
+        rng = np.random.default_rng(3)
+        # Centre and deviation medians share the build ...
+        mad_corrected(rng.standard_normal(5000), kind)
+        assert calls["calls"] == one_build > 0
+        # ... and so does the next sample of the same size.
+        calls["calls"] = 0
+        mad_corrected(rng.standard_normal(5000), kind)
+        assert calls["calls"] == 0
+
+    def test_cache_is_bounded(self):
+        from madkit import quantiles
+
+        maxsize = quantiles._cdf_window.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
 
 
 @settings(max_examples=120, deadline=None)
