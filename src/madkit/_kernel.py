@@ -1,71 +1,21 @@
-"""Backend selection for the batch MAD kernel.
+"""The batch MAD kernel of the Monte-Carlo harness.
 
-Two interchangeable implementations compute the same thing: the compiled
-extension (``madkit._madcore``) and a vectorized NumPy fallback.  Measured
-crossover (see ``benchmarks/kernel_bench.py``): the tight C loop wins for
-narrow samples, where per-row overhead dominates, and NumPy's SIMD sort
-plus BLAS wins for wide ones.  The default ``auto`` mode picks per call
-by sample width; ``MADKIT_BACKEND=numpy`` or ``=compiled`` forces one
-(forcing ``compiled`` raises at import if the extension is missing).
+One NumPy implementation: sort every row, take the weighted median as a
+dot product with the estimator's weights, then repeat on the sorted
+absolute deviations.  Its per-width throughput is measured by
+``perfbench/run.py --trace 1`` (the ``_kernel.sweep_n*`` metrics).
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["BACKEND", "mad0_batch", "mad0_batch_numpy", "mad0_batch_compiled"]
-
-try:
-    from madkit._madcore import mad0_batch as _compiled_impl
-except ImportError:
-    _compiled_impl = None
-
-# Sample width at which the NumPy path overtakes the compiled loop.
-_CROSSOVER_WIDTH = 16
+__all__ = ["mad0_batch"]
 
 
-def mad0_batch_numpy(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def mad0_batch(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Raw MAD per row of ``samples``, median as dot(weights, sorted row)."""
     xs = np.sort(np.asarray(samples, dtype=np.float64), axis=1)
     med = xs @ weights
     dev = np.abs(xs - med[:, None])
     dev.sort(axis=1)
     return dev @ weights
-
-
-if _compiled_impl is not None:
-
-    def mad0_batch_compiled(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        return _compiled_impl(
-            np.ascontiguousarray(samples, dtype=np.float64),
-            np.ascontiguousarray(weights, dtype=np.float64),
-        )
-
-else:
-    mad0_batch_compiled = None
-
-
-_requested = os.environ.get("MADKIT_BACKEND", "").strip().lower()
-if _requested == "numpy":
-    BACKEND = "numpy"
-elif _requested == "compiled":
-    if mad0_batch_compiled is None:
-        raise ImportError("MADKIT_BACKEND=compiled but madkit._madcore is not built")
-    BACKEND = "compiled"
-elif _requested in ("", "auto"):
-    BACKEND = "auto" if mad0_batch_compiled is not None else "numpy"
-else:
-    raise ImportError(f"unknown MADKIT_BACKEND value {_requested!r}")
-
-
-if BACKEND == "numpy":
-    mad0_batch = mad0_batch_numpy
-elif BACKEND == "compiled":
-    mad0_batch = mad0_batch_compiled
-else:
-
-    def mad0_batch(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        if samples.shape[1] <= _CROSSOVER_WIDTH:
-            return mad0_batch_compiled(samples, weights)
-        return mad0_batch_numpy(samples, weights)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -134,11 +135,37 @@ def _read_numbers(path: str) -> np.ndarray:
     return values
 
 
+def _write_file(path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all.
+
+    The text goes to a temp file beside the target, which then replaces the
+    target in one rename; on any error the temp file is removed and an
+    existing target keeps its content.  A symlink is written through, and a
+    path that exists but is not a regular file (``/dev/stdout``) is written
+    directly.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return
+    path = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".madkit-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode open() would have given, not 0600
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _write_report(body: str, out_path, provenance: str) -> None:
     text = provenance + body
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_file(out_path, text)
     else:
         sys.stdout.write(text)
 

@@ -28,7 +28,6 @@ __all__ = [
     "DistributionSpec",
     "parse_spec",
     "sample",
-    "standard_normal_spec",
     "DEFAULT_SENSITIVITY_SET",
 ]
 
@@ -61,9 +60,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = [self.master_seed & _MASK64, self.stream_id & _MASK64]
         return np.random.Generator(np.random.Philox(key=key))
-
-    def substream(self, *parts: int) -> "RngStream":
-        return RngStream(self.master_seed, derive_stream_id(self.stream_id, *parts))
 
 
 def _open_uniform(rng: np.random.Generator, size) -> np.ndarray:
@@ -268,10 +264,6 @@ def sample(spec: DistributionSpec, n: int, stream: RngStream) -> Sample:
     if n < 1:
         raise DistributionSpecError(f"need n >= 1, got {n}")
     return Sample(spec.draw(stream.generator(), n))
-
-
-def standard_normal_spec() -> DistributionSpec:
-    return DistributionSpec.make("normal", m=0.0, sd=1.0)
 
 
 def _specs(*texts: str) -> tuple[DistributionSpec, ...]:

@@ -1,119 +1,28 @@
 """Built-in bias-correction factor tables and related constants.
 
 The C_n tables were estimated by large-scale Monte-Carlo simulation
-(inverting the mean MAD of standard-normal samples) and are stored here
-exactly as published, at four decimal places.  Keys are sample sizes;
-coverage is every n in 2..100 plus a sparse grid of larger sizes.
-
-The same values ship as ``data/factor_tables.csv`` for consumers outside
-Python; tests assert the two copies are identical.
+(inverting the mean MAD of standard-normal samples) and are published,
+at four decimal places, as ``data/factor_tables.csv``: the single source
+of the tables, read once at import.  Keys are sample sizes; coverage is
+every n in 2..100 plus a sparse grid of larger sizes.  Park's table stops
+at n = 500, so its cells beyond that are blank.
 """
+import csv
+from importlib import resources
 
-SM_FACTORS = {
-    2: 1.7725, 3: 2.2049, 4: 2.0172, 5: 1.8040, 6: 1.7637, 7: 1.6871,
-    8: 1.6715, 9: 1.6326, 10: 1.6245, 11: 1.6011, 12: 1.5961, 13: 1.5806,
-    14: 1.5772, 15: 1.5661, 16: 1.5637, 17: 1.5554, 18: 1.5536, 19: 1.5471,
-    20: 1.5457, 21: 1.5405, 22: 1.5393, 23: 1.5352, 24: 1.5342, 25: 1.5307,
-    26: 1.5299, 27: 1.5269, 28: 1.5263, 29: 1.5238, 30: 1.5233, 31: 1.5212,
-    32: 1.5207, 33: 1.5189, 34: 1.5184, 35: 1.5168, 36: 1.5164, 37: 1.5149,
-    38: 1.5146, 39: 1.5132, 40: 1.5129, 41: 1.5117, 42: 1.5115, 43: 1.5103,
-    44: 1.5101, 45: 1.5091, 46: 1.5089, 47: 1.5080, 48: 1.5078, 49: 1.5069,
-    50: 1.5067, 51: 1.5060, 52: 1.5058, 53: 1.5051, 54: 1.5049, 55: 1.5042,
-    56: 1.5041, 57: 1.5035, 58: 1.5033, 59: 1.5027, 60: 1.5026, 61: 1.5021,
-    62: 1.5019, 63: 1.5014, 64: 1.5013, 65: 1.5008, 66: 1.5007, 67: 1.5003,
-    68: 1.5002, 69: 1.4998, 70: 1.4997, 71: 1.4993, 72: 1.4992, 73: 1.4988,
-    74: 1.4987, 75: 1.4984, 76: 1.4983, 77: 1.4979, 78: 1.4978, 79: 1.4975,
-    80: 1.4975, 81: 1.4972, 82: 1.4971, 83: 1.4968, 84: 1.4967, 85: 1.4965,
-    86: 1.4964, 87: 1.4961, 88: 1.4961, 89: 1.4958, 90: 1.4958, 91: 1.4955,
-    92: 1.4955, 93: 1.4952, 94: 1.4952, 95: 1.4950, 96: 1.4949, 97: 1.4947,
-    98: 1.4947, 99: 1.4945, 100: 1.4944, 109: 1.4933, 110: 1.4933, 119: 1.4924,
-    120: 1.4924, 129: 1.4916, 130: 1.4916, 139: 1.4910, 140: 1.4910, 149: 1.4904,
-    150: 1.4904, 159: 1.4899, 160: 1.4899, 169: 1.4895, 170: 1.4895, 179: 1.4891,
-    180: 1.4891, 189: 1.4887, 190: 1.4887, 199: 1.4884, 200: 1.4884, 249: 1.4872,
-    250: 1.4872, 299: 1.4864, 300: 1.4864, 349: 1.4859, 350: 1.4859, 399: 1.4855,
-    400: 1.4855, 449: 1.4852, 450: 1.4851, 499: 1.4849, 500: 1.4849, 600: 1.4845,
-    700: 1.4842, 800: 1.4840, 900: 1.4839, 1000: 1.4837, 1500: 1.4834, 2000: 1.4832,
-    3000: 1.4830,
-}
+CSV_PATH = resources.files("madkit").joinpath("data/factor_tables.csv")
 
-HD_FACTORS = {
-    2: 1.7725, 3: 1.5682, 4: 1.5959, 5: 1.5661, 6: 1.5666, 7: 1.5646,
-    8: 1.5591, 9: 1.5567, 10: 1.5529, 11: 1.5496, 12: 1.5465, 13: 1.5434,
-    14: 1.5406, 15: 1.5380, 16: 1.5355, 17: 1.5332, 18: 1.5310, 19: 1.5289,
-    20: 1.5270, 21: 1.5252, 22: 1.5235, 23: 1.5220, 24: 1.5204, 25: 1.5191,
-    26: 1.5177, 27: 1.5164, 28: 1.5154, 29: 1.5143, 30: 1.5133, 31: 1.5123,
-    32: 1.5114, 33: 1.5106, 34: 1.5098, 35: 1.5090, 36: 1.5083, 37: 1.5076,
-    38: 1.5069, 39: 1.5062, 40: 1.5056, 41: 1.5050, 42: 1.5045, 43: 1.5039,
-    44: 1.5034, 45: 1.5029, 46: 1.5025, 47: 1.5020, 48: 1.5016, 49: 1.5011,
-    50: 1.5008, 51: 1.5004, 52: 1.5000, 53: 1.4997, 54: 1.4993, 55: 1.4990,
-    56: 1.4986, 57: 1.4983, 58: 1.4980, 59: 1.4977, 60: 1.4975, 61: 1.4972,
-    62: 1.4969, 63: 1.4967, 64: 1.4964, 65: 1.4962, 66: 1.4960, 67: 1.4957,
-    68: 1.4955, 69: 1.4953, 70: 1.4951, 71: 1.4950, 72: 1.4947, 73: 1.4946,
-    74: 1.4944, 75: 1.4942, 76: 1.4940, 77: 1.4939, 78: 1.4937, 79: 1.4936,
-    80: 1.4934, 81: 1.4933, 82: 1.4931, 83: 1.4930, 84: 1.4928, 85: 1.4927,
-    86: 1.4926, 87: 1.4924, 88: 1.4923, 89: 1.4922, 90: 1.4921, 91: 1.4920,
-    92: 1.4918, 93: 1.4917, 94: 1.4916, 95: 1.4915, 96: 1.4914, 97: 1.4913,
-    98: 1.4912, 99: 1.4911, 100: 1.4910, 109: 1.4902, 110: 1.4902, 119: 1.4896,
-    120: 1.4895, 129: 1.4890, 130: 1.4889, 139: 1.4884, 140: 1.4884, 149: 1.4880,
-    150: 1.4880, 159: 1.4877, 160: 1.4876, 169: 1.4873, 170: 1.4873, 179: 1.4871,
-    180: 1.4870, 189: 1.4868, 190: 1.4868, 199: 1.4866, 200: 1.4866, 249: 1.4857,
-    250: 1.4857, 299: 1.4852, 300: 1.4852, 349: 1.4848, 350: 1.4848, 399: 1.4845,
-    400: 1.4845, 449: 1.4843, 450: 1.4843, 499: 1.4841, 500: 1.4841, 600: 1.4838,
-    700: 1.4836, 800: 1.4835, 900: 1.4834, 1000: 1.4833, 1500: 1.4831, 2000: 1.4830,
-    3000: 1.4828,
-}
 
-THD_SQRT_FACTORS = {
-    2: 1.7725, 3: 1.6455, 4: 2.0172, 5: 1.6774, 6: 1.6887, 7: 1.6810,
-    8: 1.6363, 9: 1.6431, 10: 1.6137, 11: 1.6036, 12: 1.5938, 13: 1.5826,
-    14: 1.5771, 15: 1.5683, 16: 1.5639, 17: 1.5574, 18: 1.5530, 19: 1.5488,
-    20: 1.5449, 21: 1.5417, 22: 1.5385, 23: 1.5361, 24: 1.5333, 25: 1.5313,
-    26: 1.5290, 27: 1.5272, 28: 1.5254, 29: 1.5238, 30: 1.5224, 31: 1.5210,
-    32: 1.5198, 33: 1.5185, 34: 1.5175, 35: 1.5163, 36: 1.5155, 37: 1.5144,
-    38: 1.5136, 39: 1.5127, 40: 1.5119, 41: 1.5111, 42: 1.5104, 43: 1.5097,
-    44: 1.5091, 45: 1.5085, 46: 1.5078, 47: 1.5073, 48: 1.5067, 49: 1.5063,
-    50: 1.5057, 51: 1.5053, 52: 1.5048, 53: 1.5044, 54: 1.5039, 55: 1.5035,
-    56: 1.5031, 57: 1.5027, 58: 1.5024, 59: 1.5020, 60: 1.5017, 61: 1.5013,
-    62: 1.5010, 63: 1.5007, 64: 1.5004, 65: 1.5001, 66: 1.4998, 67: 1.4995,
-    68: 1.4993, 69: 1.4990, 70: 1.4988, 71: 1.4986, 72: 1.4983, 73: 1.4981,
-    74: 1.4979, 75: 1.4977, 76: 1.4974, 77: 1.4972, 78: 1.4970, 79: 1.4969,
-    80: 1.4966, 81: 1.4965, 82: 1.4963, 83: 1.4961, 84: 1.4959, 85: 1.4958,
-    86: 1.4956, 87: 1.4955, 88: 1.4953, 89: 1.4952, 90: 1.4950, 91: 1.4949,
-    92: 1.4947, 93: 1.4946, 94: 1.4944, 95: 1.4943, 96: 1.4942, 97: 1.4940,
-    98: 1.4940, 99: 1.4938, 100: 1.4937, 109: 1.4927, 110: 1.4926, 119: 1.4919,
-    120: 1.4918, 129: 1.4911, 130: 1.4910, 139: 1.4904, 140: 1.4904, 149: 1.4899,
-    150: 1.4898, 159: 1.4894, 160: 1.4894, 169: 1.4890, 170: 1.4890, 179: 1.4886,
-    180: 1.4886, 189: 1.4883, 190: 1.4883, 199: 1.4880, 200: 1.4880, 249: 1.4869,
-    250: 1.4869, 299: 1.4861, 300: 1.4861, 349: 1.4856, 350: 1.4856, 399: 1.4852,
-    400: 1.4852, 449: 1.4849, 450: 1.4849, 499: 1.4847, 500: 1.4847, 600: 1.4843,
-    700: 1.4841, 800: 1.4839, 900: 1.4837, 1000: 1.4836, 1500: 1.4833, 2000: 1.4831,
-    3000: 1.4829,
-}
+def _read_tables():
+    with CSV_PATH.open("r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return [
+        {int(row["n"]): float(row[column]) for row in rows if row[column]}
+        for column in ("c_sm", "c_hd", "c_thd_sqrt", "c_park")
+    ]
 
-PARK_FACTORS = {
-    2: 1.7722, 3: 2.2049, 4: 2.0167, 5: 1.8039, 6: 1.7638, 7: 1.6868,
-    8: 1.6718, 9: 1.6329, 10: 1.6247, 11: 1.6013, 12: 1.5962, 13: 1.5808,
-    14: 1.5773, 15: 1.5663, 16: 1.5638, 17: 1.5553, 18: 1.5534, 19: 1.5472,
-    20: 1.5457, 21: 1.5407, 22: 1.5393, 23: 1.5352, 24: 1.5341, 25: 1.5305,
-    26: 1.5300, 27: 1.5269, 28: 1.5264, 29: 1.5236, 30: 1.5230, 31: 1.5207,
-    32: 1.5203, 33: 1.5185, 34: 1.5179, 35: 1.5163, 36: 1.5161, 37: 1.5144,
-    38: 1.5140, 39: 1.5127, 40: 1.5124, 41: 1.5111, 42: 1.5110, 43: 1.5099,
-    44: 1.5095, 45: 1.5085, 46: 1.5084, 47: 1.5075, 48: 1.5072, 49: 1.5064,
-    50: 1.5063, 51: 1.5056, 52: 1.5052, 53: 1.5046, 54: 1.5044, 55: 1.5037,
-    56: 1.5036, 57: 1.5031, 58: 1.5029, 59: 1.5023, 60: 1.5021, 61: 1.5016,
-    62: 1.5015, 63: 1.5010, 64: 1.5008, 65: 1.5003, 66: 1.5003, 67: 1.4999,
-    68: 1.4998, 69: 1.4993, 70: 1.4992, 71: 1.4989, 72: 1.4988, 73: 1.4985,
-    74: 1.4984, 75: 1.4979, 76: 1.4979, 77: 1.4975, 78: 1.4975, 79: 1.4972,
-    80: 1.4972, 81: 1.4968, 82: 1.4968, 83: 1.4964, 84: 1.4965, 85: 1.4963,
-    86: 1.4961, 87: 1.4958, 88: 1.4958, 89: 1.4956, 90: 1.4954, 91: 1.4953,
-    92: 1.4951, 93: 1.4949, 94: 1.4950, 95: 1.4947, 96: 1.4947, 97: 1.4944,
-    98: 1.4943, 99: 1.4941, 100: 1.4942, 109: 1.4931, 110: 1.4931, 119: 1.4923,
-    120: 1.4922, 129: 1.4914, 130: 1.4914, 139: 1.4908, 140: 1.4908, 149: 1.4902,
-    150: 1.4902, 159: 1.4897, 160: 1.4897, 169: 1.4893, 170: 1.4893, 179: 1.4890,
-    180: 1.4889, 189: 1.4887, 190: 1.4887, 199: 1.4883, 200: 1.4883, 249: 1.4872,
-    250: 1.4872, 299: 1.4864, 300: 1.4864, 349: 1.4858, 350: 1.4858, 399: 1.4855,
-    400: 1.4855, 449: 1.4852, 450: 1.4852, 499: 1.4848, 500: 1.4848,
-}
+
+SM_FACTORS, HD_FACTORS, THD_SQRT_FACTORS, PARK_FACTORS = _read_tables()
 
 
 # Historical b_n multipliers for the sample-median MAD (C_n = b_n / qnorm(0.75)).

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 from madkit import factor_tables as tables
 from madkit.errors import FactorRangeError, SampleError
@@ -35,8 +34,6 @@ __all__ = [
     "MadValue",
     "FactorModel",
     "DefaultFactors",
-    "ExactTwoFactors",
-    "TableFactors",
     "FittedFactors",
     "AsymptoticFactors",
     "CrouxRousseeuwFactors",
@@ -112,27 +109,6 @@ class DefaultFactors(FactorModel):
         if n <= 100:
             return _TABLES[key][n]
         return _fitted_form(n, *tables.FITTED_COEFFS[key])
-
-
-class ExactTwoFactors(FactorModel):
-    """The exact n = 2 factor sqrt(pi); defined nowhere else."""
-
-    def factor(self, n: int, kind: MedianEstimator = SM) -> float:
-        if n != 2:
-            raise FactorRangeError("the exact factor is only known for n = 2")
-        return math.sqrt(math.pi)
-
-
-class TableFactors(FactorModel):
-    """Pure table lookup over every built-in row (including the sparse large-n grid)."""
-
-    def factor(self, n: int, kind: MedianEstimator = SM) -> float:
-        _check_n(n)
-        table = _TABLES[_table_key(kind)]
-        try:
-            return table[n]
-        except KeyError:
-            raise FactorRangeError(f"no tabulated factor for n = {n}") from None
 
 
 @dataclass(frozen=True)
@@ -281,5 +257,5 @@ def factor_table(kind_label: str) -> dict[int, float]:
 
 
 def factor_table_csv_path():
-    """Path to the shipped CSV copy of the factor tables."""
-    return resources.files("madkit").joinpath("data/factor_tables.csv")
+    """Path to the shipped CSV that holds the factor tables."""
+    return tables.CSV_PATH

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: output formats, exit codes, reproducibility."""
 import math
+import os
+import stat
 
 import pytest
 
@@ -181,6 +183,55 @@ class TestFactorsCommand:
         )
         assert code == 0 and out == ""
         assert target.read_text().count("\n") == 2 + 3  # comment + header + 3 rows
+
+    def test_failed_out_write_keeps_old_file(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "factors.csv"
+        target.write_text("old content\n")
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr("os.replace", fail)
+        code, out, err = run_cli(
+            ["factors", "--n", "2", "--reps", "1000", "--seed", "1", "--out", str(target)],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "replace failed" in err
+        assert target.read_text() == "old content\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["factors.csv"]
+
+    def test_out_symlink_written_through(self, capsys, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_text("old content\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        code, _, _ = run_cli(["tables", "--out", str(link)], capsys)
+        assert code == 0
+        assert link.is_symlink()
+        assert real.read_text().startswith("# version=")
+
+    def test_out_device_written_in_place(self, capsys, monkeypatch):
+        # Renaming over a device would replace the device node itself.
+        def fail(src, dst):
+            raise OSError("replace called")
+
+        monkeypatch.setattr("os.replace", fail)
+        code, _, err = run_cli(["tables", "--out", os.devnull], capsys)
+        assert code == 0, err
+
+    def test_out_file_mode_follows_umask(self, capsys, tmp_path):
+        target = tmp_path / "factors.csv"
+        umask = os.umask(0o022)
+        try:
+            code, _, _ = run_cli(
+                ["factors", "--n", "2", "--reps", "1000", "--seed", "1", "--out", str(target)],
+                capsys,
+            )
+        finally:
+            os.umask(umask)
+        assert code == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
 
     def test_reps_too_small(self, capsys):
         code, _, err = run_cli(["factors", "--n", "2", "--reps", "10"], capsys)

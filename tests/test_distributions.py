@@ -87,11 +87,6 @@ class TestStreams:
         s2 = sample(spec, 1000, RngStream(42, 8))
         assert not np.array_equal(s1.values, s2.values)
 
-    def test_substream_derivation(self):
-        base = RngStream(5)
-        assert base.substream(1, 2) == base.substream(1, 2)
-        assert base.substream(1, 2) != base.substream(2, 1)
-
     def test_cross_correlation_of_disjoint_streams(self):
         n = 100_000
         g1 = RngStream(123, 1).generator().standard_normal(n)

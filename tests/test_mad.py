@@ -12,11 +12,9 @@ from madkit.mad import (
     DEFAULT_MODEL,
     AsymptoticFactors,
     CrouxRousseeuwFactors,
-    ExactTwoFactors,
     FittedFactors,
     HayesFactors,
     ParkFactors,
-    TableFactors,
     WilliamsFactors,
     asymptotic_factor,
     correction_factor,
@@ -178,18 +176,6 @@ class TestFactorTables:
 
 
 class TestLegacyModels:
-    def test_exact_two(self):
-        model = ExactTwoFactors()
-        assert model.factor(2, SM) == math.sqrt(math.pi)
-        with pytest.raises(FactorRangeError):
-            model.factor(3, SM)
-
-    def test_table_model_uses_sparse_rows(self):
-        model = TableFactors()
-        assert model.factor(3000, SM) == 1.4830
-        with pytest.raises(FactorRangeError):
-            model.factor(101, SM)
-
     def test_asymptotic_is_constant(self):
         model = AsymptoticFactors()
         assert model.factor(2, SM) == model.factor(5000, HD) == asymptotic_factor()
