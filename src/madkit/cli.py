@@ -171,13 +171,17 @@ def _write_report(body: str, out_path, provenance: str) -> None:
 
 
 def _provenance(config: SimulationConfig) -> str:
-    # With the version, these fix the CSV body of factors and efficiency;
-    # sensitivity also depends on the distributions, not recorded here.
+    # The fields that fix the CSV body; numpy's version is recorded because
+    # the Philox draws and their transforms come from it.
+    dists = ""
+    if config.distributions:
+        dists = f" dists={','.join(map(str, config.distributions))}"
     return (
         f"# seed={config.master_seed} reps={config.repetitions} "
         f"version={madkit.__version__} chunk_size={config.chunk_size} "
         f"n={','.join(map(str, config.sample_sizes))} "
-        f"estimators={','.join(est.label for est in config.estimators)}\n"
+        f"estimators={','.join(est.label for est in config.estimators)}"
+        f"{dists} numpy={np.__version__}\n"
     )
 
 

@@ -176,6 +176,17 @@ def _require_nonempty(x: Sample) -> None:
         raise SampleError("estimate requires a nonempty sample")
 
 
+def _weighted_sum(w: QuantileWeights, x: Sample) -> float:
+    """Sum of weights times order statistics, kept inside the sample range.
+
+    einsum, not a BLAS dot product, which OpenBLAS runs multi-threaded at
+    large n.  The clamp undoes rounding only: the exact sum lies in
+    [min, max], and a constant sample must give exactly its constant.
+    """
+    v = x.values
+    return min(max(float(np.einsum("i,i->", w.weights, v)), float(v[0])), float(v[-1]))
+
+
 def _check_open_prob(p: float) -> None:
     if not (0.0 < p < 1.0):
         raise DomainError(f"quantile order p must lie strictly in (0, 1), got {p}")
@@ -310,7 +321,7 @@ def hd_quantile(x: SampleLike, p: float) -> float:
     x = as_sample(x)
     _require_nonempty(x)
     w = hd_weights(x.n, p)
-    return float(np.dot(w.weights, x.values))
+    return _weighted_sum(w, x)
 
 
 def beta_hdi(params: BetaParams, width: float) -> Optional[tuple[float, float]]:
@@ -385,7 +396,7 @@ def thd_quantile(x: SampleLike, p: float, width: Optional[float] = None) -> floa
     if width is None:
         width = 1.0 / math.sqrt(x.n)
     w = thd_weights(x.n, p, width)
-    return float(np.dot(w.weights, x.values))
+    return _weighted_sum(w, x)
 
 
 def median(x: SampleLike, kind: MedianEstimator = SM) -> float:

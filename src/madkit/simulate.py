@@ -190,8 +190,26 @@ def _chunks(repetitions: int, chunk_size: int) -> list[tuple[int, int]]:
 def _map_ordered(fn: Callable, items: Sequence, threads: int) -> list:
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
         return list(pool.map(fn, items))
+
+
+def _moments(m: np.ndarray) -> tuple[float, float]:
+    """One chunk's (sum, sum of squares).
+
+    The square sum is einsum, not a BLAS dot product: OpenBLAS threads a
+    dot product over a chunk this long, and its spinning worker would take
+    a CPU from the pool threads.
+    """
+    return float(np.sum(m)), float(np.einsum("i,i->", m, m))
+
+
+def _mean_variance(parts: Sequence[tuple[float, float]], reps: int) -> tuple[float, float]:
+    """Mean and unbiased variance from per-chunk moments, summed exactly."""
+    total = math.fsum(p[0] for p in parts)
+    total_sq = math.fsum(p[1] for p in parts)
+    mean = total / reps
+    return mean, max(0.0, (total_sq - reps * mean * mean) / (reps - 1))
 
 
 def _normal_matrix(config: SimulationConfig, stream_parts: tuple[int, ...], count: int, n: int) -> np.ndarray:
@@ -214,15 +232,11 @@ def estimate_factors(config: SimulationConfig, threads: int = 1) -> FactorReport
             def one_chunk(chunk, n=n, est_index=est_index, weights=weights):
                 index, count = chunk
                 x = _normal_matrix(config, (_TAG_FACTORS, n, est_index, index), count, n)
-                m = mad0_batch(x, weights)
-                return float(np.sum(m)), float(np.dot(m, m))
+                return _moments(mad0_batch(x, weights))
 
             parts = _map_ordered(one_chunk, _chunks(config.repetitions, config.chunk_size), threads)
             reps = config.repetitions
-            total = math.fsum(p[0] for p in parts)
-            total_sq = math.fsum(p[1] for p in parts)
-            m_n = total / reps
-            variance = max(0.0, (total_sq - reps * m_n * m_n) / (reps - 1))
+            m_n, variance = _mean_variance(parts, reps)
             se_m = math.sqrt(variance / reps)
             c_n = 1.0 / m_n
             rows.append(FactorRow(n, est.label, m_n, c_n, se_m / (m_n * m_n), reps))
@@ -259,21 +273,13 @@ def efficiency(config: SimulationConfig, threads: int = 1) -> EfficiencyReport:
         def one_chunk(chunk, n=n, weights=weights, factors=factors):
             index, count = chunk
             x = _normal_matrix(config, (_TAG_EFFICIENCY, n, index), count, n)
-            stats = []
-            for w, f in zip(weights, factors):
-                m = mad0_batch(x, w) * f
-                stats.append((float(np.sum(m)), float(np.dot(m, m))))
-            return stats
+            return [_moments(mad0_batch(x, w) * f) for w, f in zip(weights, factors)]
 
         parts = _map_ordered(one_chunk, _chunks(config.repetitions, config.chunk_size), threads)
-        reps = config.repetitions
-        variances = []
-        for j in range(len(_TRIO)):
-            total = math.fsum(p[j][0] for p in parts)
-            total_sq = math.fsum(p[j][1] for p in parts)
-            mean = total / reps
-            variances.append(max(0.0, (total_sq - reps * mean * mean) / (reps - 1)))
-        var_sm, var_hd, var_thd = variances
+        var_sm, var_hd, var_thd = (
+            _mean_variance([p[j] for p in parts], config.repetitions)[1]
+            for j in range(len(_TRIO))
+        )
         rows.append(
             EfficiencyRow(n, var_sm, var_hd, var_thd, var_sm / var_hd, var_sm / var_thd)
         )

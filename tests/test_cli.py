@@ -3,10 +3,12 @@ import math
 import os
 import stat
 
+import numpy as np
 import pytest
 
 import madkit
 from madkit.cli import main
+from madkit.distributions import DEFAULT_SENSITIVITY_SET
 
 
 def run_cli(argv, capsys, stdin=None, monkeypatch=None):
@@ -161,7 +163,7 @@ class TestFactorsCommand:
         assert code == 0
         assert out.splitlines()[0] == (
             f"# seed=42 reps=100000 version={madkit.__version__} "
-            "chunk_size=16384 n=2 estimators=sm"
+            f"chunk_size=16384 n=2 estimators=sm numpy={np.__version__}"
         )
         header, row = body_of(out).strip().splitlines()
         assert header == "n,estimator,m_n,c_n,std_error,repetitions"
@@ -243,14 +245,25 @@ class TestProvenance:
     @pytest.mark.parametrize("command", ["factors", "efficiency", "sensitivity"])
     def test_line_records_full_config(self, command, capsys):
         args = [command, "--n", "3,5", "--reps", "200", "--seed", "9", "--chunk-size", "64"]
+        dists = ""
         if command == "sensitivity":
-            args += ["--dist", "uniform(a=0,b=1)"]
+            args += ["--dist", "uniform(a=0,b=1),pareto(loc=1,shape=0.5)"]
+            dists = " dists=uniform(a=0,b=1),pareto(loc=1,shape=0.5)"
         code, out, _ = run_cli(args, capsys)
         assert code == 0
         assert out.splitlines()[0] == (
             f"# seed=9 reps=200 version={madkit.__version__} "
-            "chunk_size=64 n=3,5 estimators=sm,hd,thd-sqrt"
+            f"chunk_size=64 n=3,5 estimators=sm,hd,thd-sqrt{dists} "
+            f"numpy={np.__version__}"
         )
+
+    def test_default_dists_recorded(self, capsys):
+        code, out, _ = run_cli(
+            ["sensitivity", "--n", "3", "--reps", "100", "--estimators", "sm"], capsys
+        )
+        assert code == 0
+        recorded = out.splitlines()[0].split(" dists=")[1].split(" numpy=")[0]
+        assert recorded == ",".join(map(str, DEFAULT_SENSITIVITY_SET))
 
 
 class TestEfficiencyCommand:

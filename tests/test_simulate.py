@@ -2,13 +2,14 @@
 agreement with the built-in tables at reduced scale (the acceptance suite
 runs the full-scale versions)."""
 import math
+import time
 
 import numpy as np
 import pytest
 
 from madkit.distributions import parse_spec
 from madkit.errors import ConfigError
-from madkit.mad import factor_table
+from madkit.mad import factor_table, mad_corrected
 from madkit.quantiles import HD, SM, THD_SQRT
 from madkit.simulate import (
     SimulationConfig,
@@ -254,3 +255,57 @@ class TestFitPrediction:
         report = estimate_factors(config)
         fit = fit_prediction(report.factors("sm"), (100, 160), "sm")
         assert math.isfinite(fit.alpha) and math.isfinite(fit.beta)
+
+
+class TestNoBlasThreads:
+    """A single-threaded call keeps to one CPU.
+
+    The hot paths make no BLAS call: OpenBLAS threads a matrix-vector
+    product on wide rows and a dot product over more than 10,000 values,
+    and its idle workers spin-wait, so process CPU time ran at 1.7-1.9x
+    the wall time.  On a one-CPU host the ratio stays under 1 either way.
+    """
+
+    @staticmethod
+    def cpu_per_wall(call) -> float:
+        call()  # warm-up: weight caches and first-use allocations
+        wall, cpu = time.perf_counter(), time.process_time()
+        for _ in range(3):
+            call()
+        return (time.process_time() - cpu) / (time.perf_counter() - wall)
+
+    def test_estimate_factors(self):
+        cfg = SimulationConfig((5,), 200_000, 1)
+        assert self.cpu_per_wall(lambda: estimate_factors(cfg, threads=1)) <= 1.3
+
+    def test_sensitivity_wide_rows(self):
+        cfg = SimulationConfig(
+            (100,), 32768, 1, distributions=(parse_spec("normal(m=0,sd=1)"),)
+        )
+        assert self.cpu_per_wall(lambda: sensitivity(cfg, threads=1)) <= 1.3
+
+    def test_mad_corrected_large_n(self):
+        x = np.random.default_rng(3).standard_normal(100_000)
+
+        def call():
+            for _ in range(20):
+                mad_corrected(x, HD)
+
+        assert self.cpu_per_wall(call) <= 1.3
+
+
+class TestWorkerCount:
+    def test_pool_capped_at_chunk_count(self, monkeypatch):
+        import madkit.simulate as simulate
+
+        asked = []
+        real = simulate.ThreadPoolExecutor
+
+        def recording(max_workers):
+            asked.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording)
+        estimate_factors(make_config(sample_sizes=(3,), repetitions=200, chunk_size=100,
+                                     estimators=(SM,)), threads=64)
+        assert asked == [2]
