@@ -229,8 +229,14 @@ class DistributionSpec:
         return self._family.draw(rng, size, dict(self.params))
 
     def __str__(self) -> str:
-        args = ",".join(f"{k}={v:g}" for k, v in self.params)
+        args = ",".join(f"{k}={_format_param(v)}" for k, v in self.params)
         return f"{self.family}({args})"
+
+
+def _format_param(value: float) -> str:
+    """``:g`` when it reads back as the same float, else the shortest exact form."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
 
 
 _SPEC_RE = re.compile(r"^\s*([A-Za-z_]+)\s*(?:\(\s*(.*?)\s*\))?\s*$")

@@ -118,10 +118,6 @@ class FittedFactors(FactorModel):
     alpha: float
     beta: float
 
-    @classmethod
-    def for_estimator(cls, kind: MedianEstimator) -> "FittedFactors":
-        return cls(*tables.FITTED_COEFFS[_table_key(kind)])
-
     def factor(self, n: int, kind: MedianEstimator = SM) -> float:
         _check_n(n)
         return _fitted_form(n, self.alpha, self.beta)

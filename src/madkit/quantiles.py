@@ -160,14 +160,13 @@ def parse_estimator(text: str) -> MedianEstimator:
 
 @dataclass(frozen=True)
 class QuantileWeights:
-    """Per-order-statistic weights with their generating Beta parameters.
+    """Per-order-statistic weights.
 
     ``hdi`` is (left, right, width) for trimmed weights, ``None`` otherwise.
     Weights are nonnegative and sum to 1.
     """
 
     weights: np.ndarray
-    params: BetaParams
     hdi: Optional[tuple[float, float, float]] = None
 
 
@@ -313,7 +312,7 @@ def hd_weights(n: int, p: float) -> QuantileWeights:
         raise SampleError(f"need n >= 1, got {n}")
     _check_open_prob(p)
     first, window, _ = _cdf_window(n, p, None)
-    return QuantileWeights(_dense_weights(n, p, first, window), _hd_params(n, p))
+    return QuantileWeights(_dense_weights(n, p, first, window))
 
 
 def hd_quantile(x: SampleLike, p: float) -> float:
@@ -386,7 +385,7 @@ def thd_weights(n: int, p: float, width: float) -> QuantileWeights:
     if hdi is not None:
         left, right = hdi
         hdi = (left, right, right - left)
-    return QuantileWeights(_dense_weights(n, p, first, window), _hd_params(n, p), hdi=hdi)
+    return QuantileWeights(_dense_weights(n, p, first, window), hdi=hdi)
 
 
 def thd_quantile(x: SampleLike, p: float, width: Optional[float] = None) -> float:

@@ -267,13 +267,13 @@ def efficiency(config: SimulationConfig, threads: int = 1) -> EfficiencyReport:
         raise ConfigError("efficiency requires the sm baseline among the estimators")
     rows = []
     for n in config.sample_sizes:
-        weights = [median_weights(n, est) for est in _TRIO]
+        weights = np.stack([median_weights(n, est) for est in _TRIO])
         factors = [correction_factor(n, est) for est in _TRIO]
 
         def one_chunk(chunk, n=n, weights=weights, factors=factors):
             index, count = chunk
             x = _normal_matrix(config, (_TAG_EFFICIENCY, n, index), count, n)
-            return [_moments(mad0_batch(x, w) * f) for w, f in zip(weights, factors)]
+            return [_moments(m * f) for m, f in zip(mad0_batch(x, weights), factors)]
 
         parts = _map_ordered(one_chunk, _chunks(config.repetitions, config.chunk_size), threads)
         var_sm, var_hd, var_thd = (
@@ -316,7 +316,7 @@ def sensitivity(config: SimulationConfig, threads: int = 1) -> SensitivityReport
     rows = []
     for dist_index, dist in enumerate(config.distributions):
         for n in config.sample_sizes:
-            weights = [median_weights(n, est) for est in config.estimators]
+            weights = np.stack([median_weights(n, est) for est in config.estimators])
             factors = [correction_factor(n, est) for est in config.estimators]
 
             def one_chunk(chunk, dist=dist, dist_index=dist_index, n=n,
@@ -327,7 +327,7 @@ def sensitivity(config: SimulationConfig, threads: int = 1) -> SensitivityReport
                     derive_stream_id(_TAG_SENSITIVITY, dist_index, n, index),
                 )
                 x = dist.draw(stream.generator(), (count, n))
-                return [mad0_batch(x, w) * f for w, f in zip(weights, factors)]
+                return [m * f for m, f in zip(mad0_batch(x, weights), factors)]
 
             parts = _map_ordered(one_chunk, _chunks(config.repetitions, config.chunk_size), threads)
             for est_index, est in enumerate(config.estimators):

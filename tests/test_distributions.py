@@ -46,6 +46,22 @@ class TestParsing:
         for spec in DEFAULT_SENSITIVITY_SET:
             assert parse_spec(str(spec)) == spec
 
+    @pytest.mark.parametrize("text, label", [
+        ("normal(m=0,sd=1.23456789)", "normal(m=0,sd=1.23456789)"),
+        ("uniform(a=0,b=1234567)", "uniform(a=0,b=1234567.0)"),
+        ("lognormal(mlog=0.1,sdlog=2)", "lognormal(mlog=0.1,sdlog=2)"),
+    ])
+    def test_str_keeps_every_digit(self, text, label):
+        # Six significant digits (":g") would print sd=1.23457 and b=1.23457e+06.
+        spec = parse_spec(text)
+        assert str(spec) == label
+        assert parse_spec(str(spec)) == spec
+
+    def test_default_labels_unchanged(self):
+        for spec in DEFAULT_SENSITIVITY_SET:
+            args = ",".join(f"{k}={v:g}" for k, v in spec.params)
+            assert str(spec) == f"{spec.family}({args})"
+
     @pytest.mark.parametrize(
         "bad",
         [

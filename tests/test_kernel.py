@@ -1,8 +1,12 @@
-"""The batch kernel must agree with the scalar MAD path."""
+"""The batch kernel must agree with the scalar MAD path, and bit for bit
+with its formulation on ``np.sort``."""
+import itertools
+
 import numpy as np
 import pytest
 
-from madkit._kernel import mad0_batch
+from madkit import _kernel
+from madkit._kernel import _NETWORK_MAX_WIDTH, _sort_rows, mad0_batch
 from madkit.mad import mad_uncorrected
 from madkit.quantiles import HD, SM, THD_SQRT, median_weights
 
@@ -75,3 +79,114 @@ def test_huge_rows_stay_finite(kind):
         assert np.isfinite(batch).all()
         expected = [mad_uncorrected(row, kind) for row in samples]
         np.testing.assert_allclose(batch, expected, rtol=1e-12, atol=0)
+
+
+# --- Sorting networks, blocks and stacked weights -------------------------
+
+LIMIT = _NETWORK_MAX_WIDTH
+
+
+def _block_rows(n):
+    return _kernel._BLOCK_VALUES // n
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _mad0_np_sort(samples, weights):
+    """The kernel as formulated on np.sort, before the networks and blocks."""
+    xs = np.sort(np.asarray(samples, dtype=np.float64), axis=1)
+    med = np.einsum("ij,j->i", xs, weights)
+    med = np.clip(med, xs[:, 0], xs[:, -1], out=med)
+    dev = np.abs(xs - med[:, None])
+    dev.sort(axis=1)
+    mad = np.einsum("ij,j->i", dev, weights)
+    return np.clip(mad, dev[:, 0], dev[:, -1], out=mad)
+
+
+@pytest.mark.parametrize("n", range(2, LIMIT + 3))
+def test_sort_rows_is_np_sort(n):
+    rng = np.random.default_rng(20 + n)
+    for rows in (1, 7, _block_rows(n), _block_rows(n) + 1, 40000):
+        a = rng.standard_normal((rows, n))
+        copy = a.copy()
+        assert np.array_equal(_bits(_sort_rows(a)), _bits(np.sort(a, axis=1)))
+        assert np.array_equal(a, copy)
+
+
+@pytest.mark.parametrize("n", range(2, LIMIT + 1))
+def test_network_sorts_every_binary_row(n):
+    # 0-1 principle (Knuth, TAOCP vol. 3, 5.3.4): a comparator network sorts
+    # every input iff it sorts all 2**n rows of zeros and ones.
+    rows = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
+    assert np.array_equal(_sort_rows(rows), np.sort(rows, axis=1))
+
+
+def test_sort_rows_nan_and_inf_rows():
+    rng = np.random.default_rng(21)
+    for n in range(2, LIMIT + 3):
+        a = rng.standard_normal((64, n))
+        a[rng.random(a.shape) < 0.05] = np.nan
+        a[rng.random(a.shape) < 0.05] = np.inf
+        a[rng.random(a.shape) < 0.05] = -np.inf
+        a[3] = np.nan
+        np.testing.assert_array_equal(_sort_rows(a), np.sort(a, axis=1))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
+def test_bitwise_equal_to_np_sort_formulation(kind):
+    rng = np.random.default_rng(22)
+    for n in (*range(2, LIMIT + 3), 30, 101):
+        weights = median_weights(n, kind)
+        block = _block_rows(n)
+        for rows in (1, 7, block - 1, block, block + 1, 2 * block + 3):
+            samples = rng.standard_normal((rows, n))
+            got = mad0_batch(samples, weights)
+            assert np.array_equal(_bits(got), _bits(_mad0_np_sort(samples, weights))), (n, rows)
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, LIMIT, LIMIT + 1, 30, 100))
+def test_stacked_weights_match_single_calls(n):
+    rng = np.random.default_rng(23)
+    samples = rng.standard_normal((2 * _block_rows(n) + 5, n))
+    stack = np.stack([median_weights(n, kind) for kind in ALL_KINDS])
+    got = mad0_batch(samples, stack)
+    assert got.shape == (len(ALL_KINDS), len(samples))
+    for k in range(len(ALL_KINDS)):
+        assert np.array_equal(_bits(got[k]), _bits(mad0_batch(samples, stack[k])))
+    assert mad0_batch(samples, stack[:1]).shape == (1, len(samples))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
+def test_non_finite_and_signed_zero_rows_match_reference(kind):
+    rng = np.random.default_rng(24)
+    for n in (2, 3, 5, LIMIT, LIMIT + 1, 30):
+        samples = rng.standard_normal((300, n))
+        samples[rng.random(samples.shape) < 0.02] = np.nan
+        samples[rng.random(samples.shape) < 0.02] = np.inf
+        samples[rng.random(samples.shape) < 0.02] = -np.inf
+        zeros = rng.random(samples.shape) < 0.2
+        samples[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+        samples[:4] = rng.choice([0.0, -0.0], size=(4, n))
+        weights = median_weights(n, kind)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got = mad0_batch(samples, weights)
+            expected = _mad0_np_sort(samples, weights)
+        nan = np.isnan(expected)
+        assert nan.any() and np.array_equal(np.isnan(got), nan), n
+        assert np.array_equal(_bits(got[~nan]), _bits(expected[~nan])), n
+
+
+@pytest.mark.parametrize("n", (5, LIMIT + 30))
+def test_rejects_mismatched_weights_any_width(n):
+    samples = np.zeros((4, n))
+    with pytest.raises(ValueError):
+        mad0_batch(samples, np.full(n - 1, 1 / (n - 1)))
+    with pytest.raises(ValueError):
+        mad0_batch(samples, np.full((2, n + 1), 1 / (n + 1)))
+
+
+def test_rejects_one_dimensional_samples():
+    with pytest.raises(ValueError):
+        mad0_batch(np.zeros(5), np.full(5, 0.2))
