@@ -80,17 +80,24 @@ def _range(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"expected numeric bounds in {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _default_threads() -> int:
     env = os.environ.get("MADKIT_THREADS", "").strip()
     if not env:
         return 1
     try:
-        threads = int(env)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise MadkitError(f"MADKIT_THREADS must be a positive integer, got {env!r}")
-    return threads
+        return _positive_int(env)
+    except argparse.ArgumentTypeError:
+        raise MadkitError(f"MADKIT_THREADS must be a positive integer, got {env!r}") from None
 
 
 def _parse_lines(text: str) -> list[float]:
@@ -109,6 +116,29 @@ def _parse_lines(text: str) -> list[float]:
     return values
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of a file, or of stdin for "-".
+
+    The bytes are decoded here, not by a text stream, so a decoding error
+    can name the byte offset in the whole input.
+    """
+    if path == "-":
+        stream = getattr(sys.stdin, "buffer", None)
+        if stream is None:  # a text stream with no bytes beneath it
+            return sys.stdin.read()
+        data, name = stream.read(), "<stdin>"
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        name = path
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MadkitError(
+            f"{name}: byte {exc.start}: 0x{data[exc.start]:02x} is not valid UTF-8"
+        ) from None
+
+
 def _read_numbers(path: str) -> np.ndarray:
     """Numbers separated by whitespace or commas, from a file or stdin ("-").
 
@@ -119,11 +149,7 @@ def _read_numbers(path: str) -> np.ndarray:
     (``_parse_lines``), so the error names the first bad token's line
     exactly as a line-by-line parse would.
     """
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    text = _read_text(path)
     tokens = text.replace(",", " ").split()
     try:
         values = np.fromiter(map(float, tokens), np.float64, count=len(tokens))
@@ -195,7 +221,7 @@ def _add_sim_flags(parser, default_reps: int) -> None:
                         help="subset of sm,hd,thd-sqrt (default: all three)")
     parser.add_argument("--chunk-size", type=int, default=16384,
                         help="repetitions per work chunk (default 16384)")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_positive_int, default=None,
                         help="worker threads; results do not depend on this "
                              "(default: MADKIT_THREADS or 1)")
     parser.add_argument("--out", default=None, metavar="PATH",
@@ -263,6 +289,7 @@ def _cmd_mad(args) -> int:
         sys.stdout.write(f"mad0       {_FMT % result.uncorrected}\n")
         sys.stdout.write(f"factor     {_FMT % result.factor}\n")
         sys.stdout.write(f"mad        {_FMT % result.corrected}\n")
+        sys.stdout.write(f"factor_source {result.factor_source}\n")
     return 0
 
 

@@ -95,18 +95,29 @@ class FactorModel:
     def factor(self, n: int, kind: MedianEstimator = SM) -> float:
         raise NotImplementedError
 
+    def source(self, n: int) -> str:
+        """Where ``factor(n, ...)`` comes from; "model" for any model but the default."""
+        return "model"
+
 
 class DefaultFactors(FactorModel):
     """Composite model: exact at n = 2, table for n <= 100, fitted beyond."""
 
-    def factor(self, n: int, kind: MedianEstimator = SM) -> float:
+    def source(self, n: int) -> str:
+        """"exact" at n = 2, "table" for 3 <= n <= 100, "fitted" beyond."""
         _check_n(n)
         if n == 2:
+            return "exact"
+        return "table" if n <= 100 else "fitted"
+
+    def factor(self, n: int, kind: MedianEstimator = SM) -> float:
+        source = self.source(n)
+        if source == "exact":
             # The median of two points is their midpoint whatever the
             # estimator, so the factor is estimator-independent and exact.
             return math.sqrt(math.pi)
         key = _table_key(kind)
-        if n <= 100:
+        if source == "table":
             return _TABLES[key][n]
         return _fitted_form(n, *tables.FITTED_COEFFS[key])
 
@@ -205,13 +216,19 @@ def correction_factor(
 
 @dataclass(frozen=True)
 class MadValue:
-    """A corrected MAD estimate and its ingredients."""
+    """A corrected MAD estimate and its ingredients.
+
+    ``factor_source`` says where the factor came from: "exact" (n = 2),
+    "table" (3 <= n <= 100), "fitted" (the large-n equation, n > 100) or
+    "model" (a factor model other than the default).
+    """
 
     uncorrected: float
     factor: float
     corrected: float
     n: int
     estimator: MedianEstimator
+    factor_source: str
 
 
 def mad_uncorrected(x: SampleLike, kind: MedianEstimator = SM) -> float:
@@ -241,6 +258,7 @@ def mad_corrected(
         corrected=c_n * raw,
         n=x.n,
         estimator=kind,
+        factor_source=model.source(x.n),
     )
 
 

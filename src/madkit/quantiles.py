@@ -231,16 +231,35 @@ def _symmetrize(w: np.ndarray) -> np.ndarray:
 # it is under 2**-64 (about 5.4e-20).
 _CDF_FLOOR = 2.0 ** -64
 
+# Half-width of the first HD bracket: _BRACKET_SDS standard deviations of
+# the weight-generating Beta, and at least _BRACKET_POINTS grid points.
+# For a near-normal Beta the window's edges lie about 9.1 (CDF 2**-64) and
+# 8.3 (CDF 1 - 2**-54) deviations from the mean.  A skewed Beta (p far
+# from 0.5 at small n) has one long tail, which the floor in points covers
+# up to about n = 1e4 at p = 0.01: on grids that short a call costs per
+# iteration of the continued fraction, not per point, so a wide first
+# bracket is cheaper than a second call.
+_BRACKET_SDS = 10.0
+_BRACKET_POINTS = 256
 
-def _first_true(lo: int, hi: int, pred) -> int:
-    """Smallest i in [lo, hi] with pred(i), for pred monotone and pred(hi) true."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+
+def _hd_bracket(n: int, p: float, params: BetaParams) -> tuple[int, np.ndarray]:
+    """``(lo, cdf)``: the CDF on grid points lo, lo + 1, ... that hold the HD window.
+
+    The bracket is centred on the Beta mean p; it is doubled until its
+    first value is below the floor and its last is 1.0.  The CDF is
+    exactly 0 at grid point 0 and exactly 1 at n, so an end that fails
+    the test is never an end of the grid, and the window's edges lie
+    outside that end.
+    """
+    half = max(_BRACKET_SDS * math.sqrt(p * (1.0 - p) / (n + 2)), _BRACKET_POINTS / n)
+    while True:
+        lo = max(0, math.floor((p - half) * n))
+        hi = min(n, math.ceil((p + half) * n))
+        cdf = reg_inc_beta(np.arange(lo, hi + 1) / n, params)
+        if cdf[0] < _CDF_FLOOR and cdf[-1] >= 1.0:
+            return lo, cdf
+        half *= 2.0
 
 
 @functools.lru_cache(maxsize=64)
@@ -252,12 +271,16 @@ def _cdf_window(n: int, p: float, width: Optional[float]):
     ``width`` is None for HD and the HDI width for THD; ``hdi`` is the
     (left, right) interval, or None for HD and the degenerate-HDI fallback.
 
-    For HD the window is where the CDF lies in [2**-64, 1), found by
-    bisection on the monotone CDF, so a build costs O(log n) + O(sqrt(n))
-    Beta-CDF evaluations instead of n + 1 (at p = 0.5 the window is about
-    9/sqrt(n) wide; Harrell & Davis 1982).  Above the window the computed
-    CDF is already exactly 1.0.  For THD the window is the HDI's grid
-    cells; the clamped, renormalized CDF is exactly 1.0 at its right edge.
+    Each build is one array call of ``reg_inc_beta``, which runs the Beta
+    CDF's continued fraction over all its points in lockstep.  For HD the
+    window is where the CDF lies in [2**-64, 1): the call covers a bracket
+    of grid points about the Beta mean (``_hd_bracket``), and the window
+    runs from the first point at or above the floor to the first point at
+    1.0, so a build costs O(sqrt(n)) points instead of n + 1 (at p = 0.5
+    the window is about 9/sqrt(n) wide; Harrell & Davis 1982).  Above the
+    window the computed CDF is already exactly 1.0.  For THD the call
+    covers the HDI's ends and its grid cells; the clamped, renormalized
+    CDF is exactly 1.0 at its right edge.
 
     The cache is bounded and holds only these windows, never dense
     n-vectors; the centre and deviation medians of one MAD share a build.
@@ -265,23 +288,20 @@ def _cdf_window(n: int, p: float, width: Optional[float]):
     params = _hd_params(n, p)
     hdi = None if width is None else beta_hdi(params, width)
     if hdi is None:
-
-        def cdf(i: int) -> float:
-            return reg_inc_beta(i / n, params)
-
-        first = _first_true(0, n, lambda i: cdf(i) >= _CDF_FLOOR)
-        stop = _first_true(first, n, lambda i: cdf(i) >= 1.0)
-        values = [cdf(i) for i in range(first, stop)]
+        lo, cdf = _hd_bracket(n, p, params)
+        start = int(np.argmax(cdf >= _CDF_FLOOR))
+        stop = start + int(np.argmax(cdf[start:] >= 1.0))
+        first, window = lo + start, cdf[start:stop]
     else:
         left, right = hdi
-        cdf_left = reg_inc_beta(left, params)
-        denom = reg_inc_beta(right, params) - cdf_left
         first = math.floor(left * n) + 1
-        values = [
-            (reg_inc_beta(min(max(i / n, left), right), params) - cdf_left) / denom
-            for i in range(first, math.ceil(right * n) + 1)
-        ]
-    window = np.array(values, dtype=np.float64)
+        grid = np.arange(first, math.ceil(right * n) + 1) / n
+        cdf = reg_inc_beta(
+            np.concatenate(([left, right], np.minimum(np.maximum(grid, left), right))),
+            params,
+        )
+        cdf_left = cdf[0]
+        window = (cdf[2:] - cdf_left) / (cdf[1] - cdf_left)
     window.flags.writeable = False
     return first, window, hdi
 
@@ -303,10 +323,10 @@ def hd_weights(n: int, p: float) -> QuantileWeights:
     """Harrell-Davis weights: consecutive Beta CDF differences on the i/n grid.
 
     Only the grid window where the CDF lies in [2**-64, 1) is evaluated
-    (O(sqrt(n)) Beta-CDF calls, see ``_cdf_window``); weights outside it
-    are 0, and each is under 6e-20 in exact arithmetic.  Windows are kept
-    in a small bounded cache; the returned dense array is fresh and
-    read-only.
+    (O(sqrt(n)) points in one array call, see ``_cdf_window``); weights
+    outside it are 0, and each is under 6e-20 in exact arithmetic.
+    Windows are kept in a small bounded cache; the returned dense array is
+    fresh and read-only.
     """
     if n < 1:
         raise SampleError(f"need n >= 1, got {n}")
@@ -373,10 +393,11 @@ def thd_weights(n: int, p: float, width: float) -> QuantileWeights:
 
     The Beta CDF is clamped to the highest-density interval [L, R] and
     renormalized; only order statistics with index in (floor(L*n),
-    ceil(R*n)] receive mass, so a build costs about width*n Beta-CDF
-    calls.  That window shares HD's small bounded cache, keyed by
-    (n, p, width); the returned dense array is fresh and read-only.
-    Degenerate HDI falls back to the untrimmed weights.
+    ceil(R*n)] receive mass, so a build evaluates the Beta CDF at about
+    width*n points, in one array call.  That window shares HD's small
+    bounded cache, keyed by (n, p, width); the returned dense array is
+    fresh and read-only.  Degenerate HDI falls back to the untrimmed
+    weights.
     """
     if n < 1:
         raise SampleError(f"need n >= 1, got {n}")
@@ -415,7 +436,8 @@ def median_weights(n: int, kind: MedianEstimator = SM) -> np.ndarray:
     Every estimator's median is a fixed weighted sum of order statistics;
     this is what the batch simulation kernel consumes.  HD and THD weights
     come from the bounded window cache of ``hd_weights``/``thd_weights``:
-    HD drops weights below 2**-64 and evaluates O(sqrt(n)) Beta CDFs.
+    HD drops weights below 2**-64 and evaluates the Beta CDF at O(sqrt(n))
+    points.
     """
     if n < 1:
         raise SampleError(f"need n >= 1, got {n}")

@@ -84,6 +84,45 @@ class TestMadCommand:
         code, _, err = run_cli(["mad", "/definitely/not/here.txt"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "n,model,source",
+        [(2, "default", "exact"), (100, "default", "table"), (101, "default", "fitted"),
+         (101, "park", "model")],
+    )
+    def test_factor_source_printed(self, n, model, source, capsys, monkeypatch):
+        text = " ".join(str(float(i)) for i in range(n))
+        code, out, _ = run_cli(["mad", "-", "--model", model], capsys, text, monkeypatch)
+        assert code == 0
+        lines = dict(line.split(None, 1) for line in out.strip().splitlines())
+        assert lines["factor_source"] == source
+        argv = ["mad", "-", "--model", model, "--csv"]
+        code, out, _ = run_cli(argv, capsys, text, monkeypatch)
+        assert out.splitlines()[0] == "n,estimator,mad0,factor,mad"
+
+    def test_non_utf8_file_names_path_and_byte(self, capsys, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"1\n2\n\xff3\n")
+        code, out, err = run_cli(["mad", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"madkit: {path}: byte 4: 0xff is not valid UTF-8\n"
+
+    def test_non_utf8_stdin_names_byte(self, capsys, monkeypatch):
+        import io
+        import sys
+
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"1 2 3\n4 \xc3(\n")))
+        code, out, err = run_cli(["mad", "-"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "madkit: <stdin>: byte 8: 0xc3 is not valid UTF-8\n"
+
+    def test_utf8_stdin_bytes_parse(self, capsys, monkeypatch):
+        import io
+        import sys
+
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"0\r\n1\r\n")))
+        code, out, _ = run_cli(["mad", "-", "--csv", "--estimator", "sm"], capsys)
+        assert code == 0 and out.splitlines()[1].startswith("2,sm,0.5,")
+
     def test_legacy_model_flag(self, capsys, monkeypatch):
         code, out, _ = run_cli(
             ["mad", "--csv", "--estimator", "sm", "--model", "park"], capsys, "0 1", monkeypatch
@@ -353,6 +392,14 @@ class TestThreadsAndInternalChecks:
         code, out, err = run_cli(["factors", "--n", "2", "--reps", "2000"], capsys)
         assert code == 2 and out == ""
         assert err == f"madkit: MADKIT_THREADS must be a positive integer, got {value!r}\n"
+
+    @pytest.mark.parametrize("command", ["factors", "efficiency", "sensitivity"])
+    @pytest.mark.parametrize("value", ["0", "-4", "abc"])
+    def test_threads_flag_must_be_positive(self, capsys, command, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--n", "2", "--reps", "2000", "--threads", value])
+        assert excinfo.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
 
     def test_threads_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("MADKIT_THREADS", "abc")

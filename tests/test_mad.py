@@ -274,3 +274,21 @@ class TestMadCorrected:
     def test_default_model_is_implicit(self):
         x = [1.0, 2.0, 4.0, 8.0]
         assert mad_corrected(x, SM).corrected == mad_corrected(x, SM, DEFAULT_MODEL).corrected
+
+    @pytest.mark.parametrize(
+        "n,source",
+        [(2, "exact"), (3, "table"), (100, "table"), (101, "fitted"), (5000, "fitted")],
+    )
+    def test_factor_source_of_default_model(self, n, source):
+        x = np.random.default_rng(n).standard_normal(n)
+        for kind in ALL_KINDS:
+            result = mad_corrected(x, kind)
+            assert result.factor_source == source
+            assert result.factor == correction_factor(n, kind)
+
+    @pytest.mark.parametrize(
+        "model", [ParkFactors(), AsymptoticFactors(), FittedFactors(0.5, 0.1)]
+    )
+    def test_factor_source_of_other_models(self, model):
+        for n in (2, 100, 101):
+            assert mad_corrected(np.arange(float(n)), SM, model).factor_source == "model"

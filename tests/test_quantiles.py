@@ -306,14 +306,11 @@ class TestWeightProperties:
 
 
 def _dense_hd_reference(n, p):
-    # The full grid, one Beta-CDF evaluation per order statistic.
+    # The full grid, one Beta-CDF value per order statistic.
     from madkit.quantiles import _hd_params, _symmetrize
     from madkit.specfun import reg_inc_beta
 
-    params = _hd_params(n, p)
-    cdf = np.empty(n + 1)
-    for i in range(n + 1):
-        cdf[i] = reg_inc_beta(i / n, params)
+    cdf = reg_inc_beta(np.arange(n + 1) / n, _hd_params(n, p))
     w = np.diff(cdf)
     return _symmetrize(w) if p == 0.5 else w
 
@@ -328,12 +325,15 @@ def _dense_thd_reference(n, p, width):
     if hdi is None:
         return _dense_hd_reference(n, p)
     left, right = hdi
-    cdf_left = reg_inc_beta(left, params)
-    denom = reg_inc_beta(right, params) - cdf_left
+    cells = range(math.floor(left * n) + 1, math.ceil(right * n) + 1)
+    points = [left, right] + [min(max(i / n, left), right) for i in cells]
+    cdf = reg_inc_beta(np.array(points), params)
+    cdf_left = cdf[0]
+    denom = cdf[1] - cdf_left
     w = np.zeros(n)
     prev = 0.0
-    for i in range(math.floor(left * n) + 1, math.ceil(right * n) + 1):
-        c = (reg_inc_beta(min(max(i / n, left), right), params) - cdf_left) / denom
+    for i, value in zip(cells, cdf[2:].tolist()):
+        c = (value - cdf_left) / denom
         w[i - 1] = c - prev
         prev = c
     return _symmetrize(w) if p == 0.5 else w
@@ -372,17 +372,125 @@ class TestWeightWindow:
             assert np.array_equal(first, second)
 
 
+def _first_true(lo, hi, pred):
+    """Smallest i in [lo, hi] with pred(i), for pred monotone and pred(hi) true."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _window_reference(n, p, width, grid_cdf, hdi_cdf):
+    """``_cdf_window`` rebuilt from the CDF on the full i/n grid.
+
+    HD: the window edges by bisection.  THD: the grid cells of the HDI,
+    each clamped to [left, right] and renormalized one by one, with
+    ``hdi_cdf`` the CDF at (left, right).
+    """
+    from madkit.quantiles import _CDF_FLOOR, _hd_params
+
+    hdi = None if width is None else beta_hdi(_hd_params(n, p), width)
+    if hdi is None:
+        first = _first_true(0, n, lambda i: grid_cdf[i] >= _CDF_FLOOR)
+        stop = _first_true(first, n, lambda i: grid_cdf[i] >= 1.0)
+        return first, grid_cdf[first:stop], None
+    left, right = hdi
+    cdf_left, cdf_right = hdi_cdf
+    first = math.floor(left * n) + 1
+    cells = []
+    for i in range(first, math.ceil(right * n) + 1):
+        g = i / n
+        value = cdf_left if g <= left else cdf_right if g >= right else float(grid_cdf[i])
+        cells.append((value - cdf_left) / (cdf_right - cdf_left))
+    return first, np.array(cells, dtype=np.float64), hdi
+
+
+CDF_WINDOW_NS = (range(1, 100), range(100, 200), range(200, 300), range(300, 400),
+                 (500, 1000, 4097, 10_001, 100_000))
+CDF_WINDOW_PS = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9)
+
+
+class TestCdfWindow:
+    """One array call per window against bisection over the full grid, bit for bit."""
+
+    @staticmethod
+    def _check(n, p, thd=True):
+        from madkit.quantiles import _cdf_window, _hd_params
+        from madkit.specfun import reg_inc_beta
+
+        params = _hd_params(n, p)
+        width = 1 / math.sqrt(n)
+        hdi = beta_hdi(params, width) if thd else None
+        ends = [] if hdi is None else list(hdi)
+        # One call for the HDI ends and the grid.
+        cdf = reg_inc_beta(np.concatenate((ends, np.arange(n + 1) / n)), params)
+        hdi_cdf, grid_cdf = cdf[: len(ends)].tolist(), cdf[len(ends):]
+        for w in (None, width) if thd else (None,):
+            first, window, got_hdi = _cdf_window.__wrapped__(n, p, w)
+            ref_first, ref_window, ref_hdi = _window_reference(n, p, w, grid_cdf, hdi_cdf)
+            assert (first, got_hdi) == (ref_first, ref_hdi), (n, p, w)
+            assert window.dtype == np.float64 and window.shape == ref_window.shape, (n, p, w)
+            assert window.tobytes() == ref_window.tobytes(), (n, p, w)
+
+    @pytest.mark.parametrize("ns", CDF_WINDOW_NS, ids=lambda ns: f"n{min(ns)}-{max(ns)}")
+    def test_matches_bisection_reference(self, ns):
+        for n in ns:
+            for p in CDF_WINDOW_PS:
+                self._check(n, p)
+
+    def test_bracket_widens(self, monkeypatch):
+        # A first bracket of half a deviation misses both edges; it must
+        # double until it holds them, and give the same window.
+        from madkit import quantiles
+
+        calls = []
+        real = quantiles.reg_inc_beta
+
+        def counting(v, params):
+            calls.append(np.size(v))
+            return real(v, params)
+
+        monkeypatch.setattr(quantiles, "_BRACKET_SDS", 0.5)
+        monkeypatch.setattr(quantiles, "_BRACKET_POINTS", 1)
+        monkeypatch.setattr(quantiles, "reg_inc_beta", counting)
+        for n, p in ((1000, 0.5), (1000, 0.01), (1000, 0.99), (100_000, 0.9)):
+            calls.clear()
+            self._check(n, p, thd=False)
+            assert len(calls) > 1 and calls == sorted(calls), (n, p, calls)
+
+    def test_one_array_call_per_median_window(self, monkeypatch):
+        from madkit import quantiles
+
+        calls = []
+        real = quantiles.reg_inc_beta
+
+        def recording(v, params):
+            calls.append(np.ndim(v))
+            return real(v, params)
+
+        monkeypatch.setattr(quantiles, "reg_inc_beta", recording)
+        for n in (1, 2, 5, 100, 1001, 100_000):
+            for width in (None, 1 / math.sqrt(n)):
+                calls.clear()
+                quantiles._cdf_window.__wrapped__(n, 0.5, width)
+                assert calls == [1], (n, width, calls)
+
+
 class TestWeightCost:
     @pytest.fixture
     def calls(self, monkeypatch):
         from madkit import quantiles
 
         quantiles._cdf_window.cache_clear()
-        counter = {"calls": 0}
+        counter = {"calls": 0, "points": 0}
         real = quantiles.reg_inc_beta
 
         def counting(v, params):
             counter["calls"] += 1
+            counter["points"] += np.size(v)
             return real(v, params)
 
         monkeypatch.setattr(quantiles, "reg_inc_beta", counting)
@@ -391,7 +499,8 @@ class TestWeightCost:
 
     def test_hd_window_is_sublinear(self, calls):
         hd_weights(100_000, 0.5)
-        assert 0 < calls["calls"] <= 4000
+        assert calls["calls"] == 1
+        assert 0 < calls["points"] <= 4000
 
     @pytest.mark.parametrize("kind", [HD, THD_SQRT])
     def test_one_build_per_n_and_estimator(self, calls, kind):
