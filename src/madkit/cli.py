@@ -117,26 +117,27 @@ def _parse_lines(text: str) -> list[float]:
 
 
 def _read_text(path: str) -> str:
-    """The UTF-8 text of a file, or of stdin for "-".
+    """The UTF-8 text of a file, or of stdin for "-", without a leading BOM.
 
     The bytes are decoded here, not by a text stream, so a decoding error
-    can name the byte offset in the whole input.
+    can name the byte offset in the whole input, BOM included.
     """
     if path == "-":
         stream = getattr(sys.stdin, "buffer", None)
         if stream is None:  # a text stream with no bytes beneath it
-            return sys.stdin.read()
+            return sys.stdin.read().removeprefix("\ufeff")
         data, name = stream.read(), "<stdin>"
     else:
         with open(path, "rb") as fh:
             data = fh.read()
         name = path
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MadkitError(
             f"{name}: byte {exc.start}: 0x{data[exc.start]:02x} is not valid UTF-8"
         ) from None
+    return text.removeprefix("\ufeff")
 
 
 def _read_numbers(path: str) -> np.ndarray:
@@ -211,14 +212,16 @@ def _provenance(config: SimulationConfig) -> str:
     )
 
 
-def _add_sim_flags(parser, default_reps: int) -> None:
+def _add_sim_flags(parser, default_reps: int, estimators: bool = False) -> None:
     parser.add_argument("--n", type=_int_list, required=True, metavar="LIST",
                         help="comma-separated sample sizes, e.g. 2,3,5,10")
     parser.add_argument("--reps", type=int, default=default_reps,
                         help=f"repetitions per cell (default {default_reps})")
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    parser.add_argument("--estimators", type=_estimator_list, default=None, metavar="LIST",
-                        help="subset of sm,hd,thd-sqrt (default: all three)")
+    if estimators:
+        parser.add_argument("--estimators", type=_estimator_list, default=None, metavar="LIST",
+                            help="sm, hd, thd-sqrt or thd(W), each at most once "
+                                 "(default: sm,hd,thd-sqrt)")
     parser.add_argument("--chunk-size", type=int, default=16384,
                         help="repetitions per work chunk (default 16384)")
     parser.add_argument("--threads", type=_positive_int, default=None,
@@ -246,13 +249,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mad.add_argument("--csv", action="store_true", help="emit CSV instead of the key/value form")
 
     p_factors = sub.add_parser("factors", help="Monte-Carlo correction factors")
-    _add_sim_flags(p_factors, default_reps=1_000_000)
+    _add_sim_flags(p_factors, default_reps=1_000_000, estimators=True)
 
     p_eff = sub.add_parser("efficiency", help="relative efficiency vs the sm baseline")
     _add_sim_flags(p_eff, default_reps=10_000)
 
     p_sens = sub.add_parser("sensitivity", help="dispersion of MAD estimates per distribution")
-    _add_sim_flags(p_sens, default_reps=1_000)
+    _add_sim_flags(p_sens, default_reps=1_000, estimators=True)
     p_sens.add_argument("--dist", type=_dist_list, default=list(DEFAULT_SENSITIVITY_SET),
                         metavar="SPECS",
                         help="comma-separated distribution specs, e.g. "
@@ -293,41 +296,23 @@ def _cmd_mad(args) -> int:
     return 0
 
 
-def _config_from(args, need_dists: bool = False) -> SimulationConfig:
+def _config_from(args) -> SimulationConfig:
     kwargs = dict(
         sample_sizes=tuple(args.n),
         repetitions=args.reps,
         master_seed=args.seed,
         chunk_size=args.chunk_size,
+        distributions=tuple(getattr(args, "dist", ())),
     )
-    if args.estimators is not None:
+    if getattr(args, "estimators", None) is not None:
         kwargs["estimators"] = tuple(args.estimators)
-    if need_dists:
-        kwargs["distributions"] = tuple(args.dist)
     return SimulationConfig(**kwargs)
 
 
-def _threads_of(args) -> int:
-    return args.threads if args.threads is not None else _default_threads()
-
-
-def _cmd_factors(args) -> int:
+def _cmd_study(args, study) -> int:
     config = _config_from(args)
-    report = estimate_factors(config, threads=_threads_of(args))
-    _write_report(report.to_csv(), args.out, _provenance(config))
-    return 0
-
-
-def _cmd_efficiency(args) -> int:
-    config = _config_from(args)
-    report = efficiency(config, threads=_threads_of(args))
-    _write_report(report.to_csv(), args.out, _provenance(config))
-    return 0
-
-
-def _cmd_sensitivity(args) -> int:
-    config = _config_from(args, need_dists=True)
-    report = sensitivity(config, threads=_threads_of(args))
+    threads = args.threads if args.threads is not None else _default_threads()
+    report = study(config, threads=threads)
     _write_report(report.to_csv(), args.out, _provenance(config))
     return 0
 
@@ -346,11 +331,13 @@ def _cmd_tables(args) -> int:
     return 0
 
 
+# The study is looked up when the command runs, so a wrapper set on this
+# module's attribute (a tracer, a test) is the one called.
 _COMMANDS = {
     "mad": _cmd_mad,
-    "factors": _cmd_factors,
-    "efficiency": _cmd_efficiency,
-    "sensitivity": _cmd_sensitivity,
+    "factors": lambda args: _cmd_study(args, estimate_factors),
+    "efficiency": lambda args: _cmd_study(args, efficiency),
+    "sensitivity": lambda args: _cmd_study(args, sensitivity),
     "fit": _cmd_fit,
     "tables": _cmd_tables,
 }

@@ -32,7 +32,6 @@ from madkit.specfun import BetaParams, beta_pdf, reg_inc_beta
 __all__ = [
     "Sample",
     "MedianEstimator",
-    "QuantileWeights",
     "SM",
     "HD",
     "THD_SQRT",
@@ -158,24 +157,12 @@ def parse_estimator(text: str) -> MedianEstimator:
     raise DomainError(f"unknown estimator {text!r} (expected sm, hd, thd-sqrt, or thd(w))")
 
 
-@dataclass(frozen=True)
-class QuantileWeights:
-    """Per-order-statistic weights.
-
-    ``hdi`` is (left, right, width) for trimmed weights, ``None`` otherwise.
-    Weights are nonnegative and sum to 1.
-    """
-
-    weights: np.ndarray
-    hdi: Optional[tuple[float, float, float]] = None
-
-
 def _require_nonempty(x: Sample) -> None:
     if x.n == 0:
         raise SampleError("estimate requires a nonempty sample")
 
 
-def _weighted_sum(w: QuantileWeights, x: Sample) -> float:
+def _weighted_sum(w: np.ndarray, x: Sample) -> float:
     """Sum of weights times order statistics, kept inside the sample range.
 
     einsum, not a BLAS dot product, which OpenBLAS runs multi-threaded at
@@ -183,7 +170,7 @@ def _weighted_sum(w: QuantileWeights, x: Sample) -> float:
     [min, max], and a constant sample must give exactly its constant.
     """
     v = x.values
-    return min(max(float(np.einsum("i,i->", w.weights, v)), float(v[0])), float(v[-1]))
+    return min(max(float(np.einsum("i,i->", w, v)), float(v[0])), float(v[-1]))
 
 
 def _check_open_prob(p: float) -> None:
@@ -319,7 +306,7 @@ def _dense_weights(n: int, p: float, first: int, window: np.ndarray) -> np.ndarr
     return w
 
 
-def hd_weights(n: int, p: float) -> QuantileWeights:
+def hd_weights(n: int, p: float) -> np.ndarray:
     """Harrell-Davis weights: consecutive Beta CDF differences on the i/n grid.
 
     Only the grid window where the CDF lies in [2**-64, 1) is evaluated
@@ -332,7 +319,7 @@ def hd_weights(n: int, p: float) -> QuantileWeights:
         raise SampleError(f"need n >= 1, got {n}")
     _check_open_prob(p)
     first, window, _ = _cdf_window(n, p, None)
-    return QuantileWeights(_dense_weights(n, p, first, window))
+    return _dense_weights(n, p, first, window)
 
 
 def hd_quantile(x: SampleLike, p: float) -> float:
@@ -388,7 +375,7 @@ def beta_hdi(params: BetaParams, width: float) -> Optional[tuple[float, float]]:
     return (left, left + width)
 
 
-def thd_weights(n: int, p: float, width: float) -> QuantileWeights:
+def thd_weights(n: int, p: float, width: float) -> np.ndarray:
     """Trimmed Harrell-Davis weights.
 
     The Beta CDF is clamped to the highest-density interval [L, R] and
@@ -402,11 +389,8 @@ def thd_weights(n: int, p: float, width: float) -> QuantileWeights:
     if n < 1:
         raise SampleError(f"need n >= 1, got {n}")
     _check_open_prob(p)
-    first, window, hdi = _cdf_window(n, p, width)
-    if hdi is not None:
-        left, right = hdi
-        hdi = (left, right, right - left)
-    return QuantileWeights(_dense_weights(n, p, first, window), hdi=hdi)
+    first, window, _ = _cdf_window(n, p, width)
+    return _dense_weights(n, p, first, window)
 
 
 def thd_quantile(x: SampleLike, p: float, width: Optional[float] = None) -> float:
@@ -451,5 +435,5 @@ def median_weights(n: int, kind: MedianEstimator = SM) -> np.ndarray:
         w.flags.writeable = False
         return w
     if kind.kind == "hd":
-        return hd_weights(n, 0.5).weights
-    return thd_weights(n, 0.5, kind.resolve_width(n)).weights
+        return hd_weights(n, 0.5)
+    return thd_weights(n, 0.5, kind.resolve_width(n))

@@ -177,8 +177,8 @@ def test_criterion_08_property_suites():
         for p in probabilities:
             worst_sum = max(
                 worst_sum,
-                abs(hd_weights(n, p).weights.sum() - 1.0),
-                abs(thd_weights(n, p, width).weights.sum() - 1.0),
+                abs(hd_weights(n, p).sum() - 1.0),
+                abs(thd_weights(n, p, width).sum() - 1.0),
             )
     assert worst_sum <= 1e-10
 

@@ -123,6 +123,32 @@ class TestMadCommand:
         code, out, _ = run_cli(["mad", "-", "--csv", "--estimator", "sm"], capsys)
         assert code == 0 and out.splitlines()[1].startswith("2,sm,0.5,")
 
+    def test_bom_file_parses(self, capsys, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf1\n2\n3\n")
+        code, out, _ = run_cli(["mad", str(path), "--csv", "--estimator", "sm"], capsys)
+        assert code == 0 and out.splitlines()[1].startswith("3,sm,1,")
+
+    def test_bom_stdin_parses(self, capsys, monkeypatch):
+        import io
+        import sys
+
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xef\xbb\xbf1\n2\n3\n")))
+        code, out, _ = run_cli(["mad", "-", "--csv", "--estimator", "sm"], capsys)
+        assert code == 0 and out.splitlines()[1].startswith("3,sm,1,")
+
+    def test_only_one_bom_dropped(self, capsys, monkeypatch):
+        code, _, err = run_cli(["mad", "-"], capsys, "\ufeff\ufeff1\n2\n", monkeypatch)
+        assert code == 2
+        assert err == "madkit: line 1: could not parse '\\ufeff1' as a number\n"
+
+    def test_bom_counts_in_byte_offset(self, capsys, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf1\n\xff")
+        code, out, err = run_cli(["mad", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"madkit: {path}: byte 5: 0xff is not valid UTF-8\n"
+
     def test_legacy_model_flag(self, capsys, monkeypatch):
         code, out, _ = run_cli(
             ["mad", "--csv", "--estimator", "sm", "--model", "park"], capsys, "0 1", monkeypatch
@@ -314,6 +340,14 @@ class TestEfficiencyCommand:
         row = body_of(out).strip().splitlines()[1].split(",")
         assert float(row[4]) == 1.0 and float(row[5]) == 1.0
 
+    def test_estimators_flag_refused(self, capsys):
+        # efficiency always compares sm, hd and thd-sqrt; the flag was
+        # once accepted and ignored.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["efficiency", "--n", "2", "--reps", "200", "--estimators", "sm"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --estimators sm" in capsys.readouterr().err
+
 
 class TestSensitivityCommand:
     def test_dist_parsing_with_nested_commas(self, capsys):
@@ -370,6 +404,16 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv, repeat", [
+        (["factors", "--estimators", "hd,hd"], "estimator hd"),
+        (["factors", "--estimators", "sm,thd,thd-sqrt"], "estimator thd-sqrt"),
+        (["sensitivity", "--dist", "normal,normal(m=0,sd=1)"], "distribution normal(m=0,sd=1)"),
+    ])
+    def test_repeats_exit_2(self, argv, repeat, capsys):
+        code, out, err = run_cli(argv + ["--n", "3", "--reps", "200", "--seed", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"madkit: {repeat} is listed more than once\n"
 
     def test_bad_n_list(self):
         with pytest.raises(SystemExit) as excinfo:

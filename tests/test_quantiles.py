@@ -76,15 +76,15 @@ class TestHf7:
 
 class TestHdWeights:
     def test_n2_split_evenly(self):
-        assert hd_weights(2, 0.5).weights.tolist() == [0.5, 0.5]
+        assert hd_weights(2, 0.5).tolist() == [0.5, 0.5]
 
     def test_n3_closed_form(self):
         # I_x(2,2) = x^2(3-2x) at x = 1/3, 2/3 gives 7/27, 20/27
-        w = hd_weights(3, 0.5).weights
+        w = hd_weights(3, 0.5)
         assert w == pytest.approx([7 / 27, 13 / 27, 7 / 27], abs=1e-14)
 
     def test_n1_all_mass(self):
-        assert hd_weights(1, 0.5).weights.tolist() == [1.0]
+        assert hd_weights(1, 0.5).tolist() == [1.0]
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_rejects_boundary_p(self, p):
@@ -93,11 +93,8 @@ class TestHdWeights:
 
     def test_symmetry_at_median(self):
         for n in (1, 2, 3, 4, 5, 10, 41, 100, 101, 1000, 100_000):
-            for w in (hd_weights(n, 0.5).weights, thd_weights(n, 0.5, 1 / math.sqrt(n)).weights):
+            for w in (hd_weights(n, 0.5), thd_weights(n, 0.5, 1 / math.sqrt(n))):
                 assert np.array_equal(w, w[::-1])
-
-    def test_no_hdi_field(self):
-        assert hd_weights(4, 0.3).hdi is None
 
 
 class TestHdQuantile:
@@ -177,34 +174,25 @@ class TestBetaHdi:
 
 class TestThdWeights:
     def test_n4_half_width_collapses_to_middle_pair(self):
-        w = thd_weights(4, 0.5, 0.5).weights
+        w = thd_weights(4, 0.5, 0.5)
         assert w.tolist() == [0.0, 0.5, 0.5, 0.0]
 
     def test_n1_single_weight(self):
-        assert thd_weights(1, 0.5, 0.7).weights.tolist() == [1.0]
+        assert thd_weights(1, 0.5, 0.7).tolist() == [1.0]
 
     def test_full_width_equals_untrimmed(self):
-        w_full = thd_weights(3, 0.5, 1.0).weights
-        assert np.array_equal(w_full, hd_weights(3, 0.5).weights)
+        w_full = thd_weights(3, 0.5, 1.0)
+        assert np.array_equal(w_full, hd_weights(3, 0.5))
 
     def test_degenerate_falls_back_to_hd(self):
         # n = 1 at p = 0.5 gives Beta(1, 1): degenerate HDI
-        w = thd_weights(1, 0.5, 0.5)
-        assert w.weights.tolist() == [1.0]
-        assert w.hdi is None
-
-    def test_hdi_field_width(self):
-        w = thd_weights(10, 0.3, 0.4)
-        assert w.hdi is not None
-        left, right, width = w.hdi
-        assert right - left == pytest.approx(width, abs=1e-9)
-        assert width == pytest.approx(0.4, abs=1e-12)
+        assert thd_weights(1, 0.5, 0.5).tolist() == [1.0]
 
     def test_weights_outside_window_are_zero(self):
         w = thd_weights(20, 0.5, 1 / math.sqrt(20))
-        nz = np.nonzero(w.weights)[0]
+        nz = np.nonzero(w)[0]
         assert nz.size < 20  # genuinely trimmed
-        assert w.weights.sum() == pytest.approx(1.0, abs=1e-10)
+        assert w.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 class TestThdQuantile:
@@ -285,9 +273,9 @@ class TestWeightProperties:
         for n in (1, 2, 3, 7, 25, 80, 200):
             for p in (0.05, 0.25, 0.5, 0.75, 0.95):
                 if kind == "hd":
-                    w = hd_weights(n, p).weights
+                    w = hd_weights(n, p)
                 else:
-                    w = thd_weights(n, p, 1 / math.sqrt(n)).weights
+                    w = thd_weights(n, p, 1 / math.sqrt(n))
                 assert w.sum() == pytest.approx(1.0, abs=1e-10)
                 assert (w >= -1e-15).all()
 
@@ -349,7 +337,7 @@ class TestWeightWindow:
     @pytest.mark.parametrize("n", WINDOW_NS)
     def test_hd_matches_dense_loop(self, n):
         for p in WINDOW_PS:
-            w = hd_weights(n, p).weights
+            w = hd_weights(n, p)
             assert np.max(np.abs(w - _dense_hd_reference(n, p))) <= 1e-15
             assert w.sum() == pytest.approx(1.0, abs=1e-14)
 
@@ -357,16 +345,16 @@ class TestWeightWindow:
     def test_thd_matches_dense_loop(self, n):
         width = 1 / math.sqrt(n)
         for p in WINDOW_PS:
-            w = thd_weights(n, p, width).weights
+            w = thd_weights(n, p, width)
             assert np.max(np.abs(w - _dense_thd_reference(n, p, width))) <= 1e-15
             assert w.sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_returned_arrays_cannot_corrupt_cache(self):
         for build in (lambda: hd_weights(50, 0.5), lambda: thd_weights(50, 0.5, 0.2)):
-            first = build().weights
+            first = build()
             with pytest.raises(ValueError):
                 first[0] = 1.0
-            second = build().weights
+            second = build()
             with pytest.raises(ValueError):
                 second[0] = 1.0
             assert np.array_equal(first, second)

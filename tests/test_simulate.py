@@ -7,10 +7,11 @@ import time
 import numpy as np
 import pytest
 
-from madkit.distributions import parse_spec
+from madkit._kernel import mad0_batch
+from madkit.distributions import RngStream, derive_stream_id, parse_spec
 from madkit.errors import ConfigError
-from madkit.mad import factor_table, mad_corrected
-from madkit.quantiles import HD, SM, THD_SQRT
+from madkit.mad import correction_factor, factor_table, mad_corrected
+from madkit.quantiles import HD, SM, THD_SQRT, median_weights, thd
 from madkit.simulate import (
     SimulationConfig,
     efficiency,
@@ -50,6 +51,18 @@ class TestConfig:
     def test_rejects_bad_chunk(self):
         with pytest.raises(ConfigError):
             make_config(chunk_size=0)
+
+    def test_rejects_repeated_estimator(self):
+        # A repeat would be keyed by its position and so draw other samples.
+        with pytest.raises(ConfigError, match="estimator hd is listed more than once"):
+            make_config(estimators=(HD, SM, HD))
+        make_config(estimators=(THD_SQRT, thd(0.5)))  # different widths are different
+
+    def test_rejects_repeated_distribution(self):
+        # Specs compare by family and parameter values, not by spelling.
+        dists = (parse_spec("normal"), parse_spec("cauchy()"), parse_spec("normal(m=0,sd=1)"))
+        with pytest.raises(ConfigError, match=r"distribution normal\(m=0,sd=1\) is listed"):
+            make_config(distributions=dists)
 
 
 class TestEstimateFactors:
@@ -111,6 +124,13 @@ class TestEfficiency:
     def test_requires_sm_baseline(self):
         with pytest.raises(ConfigError):
             efficiency(make_config(estimators=(HD, THD_SQRT)))
+
+    @pytest.mark.parametrize("estimators", [
+        (SM,), (SM, HD), (SM, THD_SQRT, HD), (SM, HD, thd(0.5)), (SM, HD, THD_SQRT, thd(0.5)),
+    ])
+    def test_takes_only_the_default_trio(self, estimators):
+        with pytest.raises(ConfigError, match="takes no estimator list"):
+            efficiency(make_config(estimators=estimators))
 
     def test_n2_ratios_exactly_one(self):
         report = efficiency(make_config(sample_sizes=(2,), repetitions=1000))
@@ -255,6 +275,51 @@ class TestFitPrediction:
         report = estimate_factors(config)
         fit = fit_prediction(report.factors("sm"), (100, 160), "sm")
         assert math.isfinite(fit.alpha) and math.isfinite(fit.beta)
+
+
+class TestStreamContract:
+    """Each value rebuilt chunk by chunk from the streams the module docstring names.
+
+    Chunk i of a cell draws from ``RngStream(seed, derive_stream_id(*key, i))``
+    with key (1, n, estimator index) for factors and (3, distribution index,
+    n) for sensitivity.  The cells checked are not the first of their loops,
+    so every part of the key counts.
+    """
+
+    @staticmethod
+    def chunk_streams(seed, key, counts):
+        return [
+            RngStream(seed, derive_stream_id(*key, i)).generator() for i in range(len(counts))
+        ]
+
+    def test_factor_mean_from_chunks(self):
+        cfg = SimulationConfig((3, 5), 300, 21, estimators=(SM, HD), chunk_size=128)
+        counts = (128, 128, 44)
+        row = estimate_factors(cfg).rows[3]
+        assert (row.n, row.estimator) == (5, "hd")
+        weights = median_weights(5, HD)
+        sums = [
+            float(np.sum(mad0_batch(rng.standard_normal((count, 5)), weights)))
+            for rng, count in zip(self.chunk_streams(21, (1, 5, 1), counts), counts)
+        ]
+        assert row.m_n == math.fsum(sums) / 300
+
+    def test_sensitivity_sd_from_chunks(self):
+        dists = (parse_spec("normal()"), parse_spec("student(df=3)"))
+        cfg = SimulationConfig((4, 7), 250, 5, estimators=(SM, THD_SQRT),
+                               distributions=dists, chunk_size=100)
+        counts = (100, 100, 50)
+        row = next(
+            r for r in sensitivity(cfg).rows
+            if (r.distribution, r.n, r.estimator, r.aggregator)
+            == ("student(df=3)", 7, "thd-sqrt", "sd")
+        )
+        weights = np.stack([median_weights(7, SM), median_weights(7, THD_SQRT)])
+        estimates = np.concatenate([
+            mad0_batch(dists[1].draw(rng, (count, 7)), weights)[1]
+            for rng, count in zip(self.chunk_streams(5, (3, 1, 7), counts), counts)
+        ]) * correction_factor(7, THD_SQRT)
+        assert row.dispersion == float(np.std(estimates, ddof=1))
 
 
 class TestNoBlasThreads:
