@@ -34,13 +34,24 @@ bit-for-bit the value of sorting with ``np.sort`` (the sign of a zero
 median does not reach ``|x - med|``).
 
 Blocks.  ``mad0_batch`` walks the rows in blocks of about
-``_BLOCK_VALUES`` values with buffers allocated once per call and reused,
-so a block's sort, deviations and second sort stay in cache.  ``weights``
-may stack ``k`` estimators' vectors as a ``(k, n)`` array: the first sort
-of each block is then shared by all of them.
+``_BLOCK_VALUES`` values, so a block's sort, deviations and second sort
+stay in cache.  ``weights`` may stack ``k`` estimators' vectors as a
+``(k, n)`` array: the first sort of each block is then shared by all of
+them.
+
+Scratch.  The sorted block, its deviations and the network's buffer are
+views of one float64 array per thread (``thread_scratch``), kept between
+calls, grown when a call needs more and never shrunk.  A study calls the
+kernel once per chunk; blocks of a few MB allocated per call are returned
+to the OS when the call ends (glibc maps them), and the next call faults
+the same pages in again.  The returned array is always a fresh
+allocation, never a view of the scratch.  The studies' worker threads
+live for one cell, so their scratch goes with them, and a study run on the
+calling thread releases that thread's scratch when the cell ends.
 """
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -54,12 +65,36 @@ __all__ = ["mad0_batch"]
 # and 14-21 % behind at n = 11 and 12.
 _NETWORK_MAX_WIDTH = 9
 
-# Values per block of rows: 1 MiB of float64 per buffer.  Smaller blocks
+# Values per block of rows: 1 MiB of float64 per block.  Smaller blocks
 # fit the caches better but make more, shorter NumPy calls, which two study
 # threads then contend for the interpreter lock to make.  On a kernel mix
 # like calibrate's, blocks of 2**16 to 2**19 values ran alike and 2**14
-# was slowest, worst with two threads.
+# was slowest, worst with two threads.  A thread's scratch holds two blocks
+# (sorted rows and deviations) plus, for network widths, the ``(n + 1,
+# rows)`` network buffer: about 3.3 MB at most (n = 7 to 9), 2.1 MB for
+# wide rows up to n = 2**17.
 _BLOCK_VALUES = 1 << 17
+
+_scratch = threading.local()
+
+
+def thread_scratch(slot: str, size: int) -> np.ndarray:
+    """This thread's flat float64 scratch array ``slot``, at least ``size`` long.
+
+    The array is kept for the thread's next call with the same ``slot``,
+    grown when a call needs more and never shrunk; what it holds is only
+    valid until that next call.
+    """
+    values = getattr(_scratch, slot, None)
+    if values is None or values.size < size:
+        values = np.empty(size)
+        setattr(_scratch, slot, values)
+    return values
+
+
+def release_thread_scratch() -> None:
+    """Drop this thread's scratch arrays; the next call allocates afresh."""
+    _scratch.__dict__.clear()
 
 
 def _batcher_pairs(n: int) -> tuple[tuple[int, int], ...]:
@@ -160,9 +195,12 @@ def mad0_batch(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
         raise ValueError(f"weights of shape {w.shape} do not match rows of width {n}")
     mads = np.empty((len(stack), rows))
     step = max(1, min(rows, _BLOCK_VALUES // max(n, 1)))
-    xs = np.empty((step, n))
-    dev = np.empty((step, n))
-    work = np.empty((n + 1) * step)  # network scratch; never touched for wide rows
+    size = step * n
+    network = 2 <= n <= _NETWORK_MAX_WIDTH  # wide rows never touch ``work``
+    scratch = thread_scratch("kernel", 2 * size + ((n + 1) * step if network else 0))
+    xs = scratch[:size].reshape(step, n)
+    dev = scratch[size:2 * size].reshape(step, n)
+    work = scratch[2 * size:] if network else None
     for start in range(0, rows, step):
         block = x[start:start + step]
         count = len(block)

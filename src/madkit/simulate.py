@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from madkit._kernel import mad0_batch
+from madkit._kernel import mad0_batch, release_thread_scratch, thread_scratch
 from madkit.distributions import DistributionSpec, RngStream, derive_stream_id
 from madkit.errors import ConfigError, InternalCheckError
 from madkit.mad import DEFAULT_MODEL, correction_factor, factor_table, mad_corrected
@@ -70,7 +70,8 @@ class SimulationConfig:
     ``chunk_size`` is the repetition count per work unit and is part of the
     reproducibility contract: the same config gives bit-identical reports,
     any thread count.  No estimator or distribution may repeat, because a
-    stream key holds its position and a repeat would draw other samples.
+    stream key holds its position and a repeat would draw other samples; a
+    repeated sample size would only compute the same rows twice.
     """
 
     sample_sizes: tuple[int, ...]
@@ -94,7 +95,8 @@ class SimulationConfig:
             )
         if not self.estimators:
             raise ConfigError("estimators must not be empty")
-        for kind, items in (("estimator", self.estimators), ("distribution", self.distributions)):
+        for kind, items in (("sample size", self.sample_sizes), ("estimator", self.estimators),
+                            ("distribution", self.distributions)):
             repeats = [item for i, item in enumerate(items) if item in items[:i]]
             if repeats:
                 raise ConfigError(f"{kind} {repeats[0]} is listed more than once")
@@ -225,7 +227,12 @@ def _mean_variance(parts: Sequence[tuple[float, float]], reps: int) -> tuple[flo
 
 
 def _normal_matrix(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
-    return rng.standard_normal(shape)
+    # Drawn into this thread's reused buffer, like the kernel's scratch: the
+    # samples die with their chunk, and a fresh matrix per chunk was mapped
+    # and faulted in again (glibc maps blocks of this size when nothing
+    # larger was freed before, as for n = 2 first in a process).
+    size = shape[0] * shape[1]
+    return rng.standard_normal(out=thread_scratch("normals", size)[:size].reshape(shape))
 
 
 def _chunk_parts(config: SimulationConfig, key: tuple[int, ...], draw: Callable,
@@ -234,20 +241,26 @@ def _chunk_parts(config: SimulationConfig, key: tuple[int, ...], draw: Callable,
 
     Chunk i draws its ``(count, n)`` samples with ``draw(rng, shape)`` from
     the stream keyed by ``(*key, i)``; ``weights`` is one ``n``-vector or a
-    ``(k, n)`` stack.
+    ``(k, n)`` stack.  The samples may be a view of the thread's scratch
+    (``_normal_matrix``), so nothing keeps them past the chunk.
     """
     n = weights.shape[-1]
 
     def chunk_part(chunk):
         index, count = chunk
         stream = RngStream(config.master_seed, derive_stream_id(*key, index))
-        # The generator goes before the kernel runs and the samples only
-        # after the reduction: freeing them in the other order cost
-        # calibrate about 4 % (more page faults in the pool threads).
+        # The generator is freed before the kernel runs.  Freeing the
+        # samples before the reduction instead of after it measures the
+        # same (page faults of a two-thread factors run, calibrate and
+        # sensitivity cycle_s), since the kernel's buffers and the normal
+        # draws live in thread scratch.
         samples = draw(stream.generator(), (count, n))
         return reduce(mad0_batch(samples, weights))
 
-    return _map_ordered(chunk_part, _chunks(config.repetitions, config.chunk_size), threads)
+    try:
+        return _map_ordered(chunk_part, _chunks(config.repetitions, config.chunk_size), threads)
+    finally:
+        release_thread_scratch()  # the calling thread's; pool threads' end with them
 
 
 def estimate_factors(config: SimulationConfig, threads: int = 1) -> FactorReport:

@@ -415,6 +415,14 @@ class TestUsageErrors:
         assert (code, out) == (2, "")
         assert err == f"madkit: {repeat} is listed more than once\n"
 
+    @pytest.mark.parametrize("command", ["factors", "efficiency", "sensitivity"])
+    def test_repeated_sample_size_exits_2(self, command, capsys):
+        # A repeated n would compute the same rows twice.
+        argv = [command, "--n", "3,5,3", "--reps", "200", "--seed", "1"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "madkit: sample size 3 is listed more than once\n"
+
     def test_bad_n_list(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["factors", "--n", "2;3"])

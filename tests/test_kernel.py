@@ -1,6 +1,9 @@
 """The batch kernel must agree with the scalar MAD path, and bit for bit
 with its formulation on ``np.sort``."""
 import itertools
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -190,3 +193,83 @@ def test_rejects_mismatched_weights_any_width(n):
 def test_rejects_one_dimensional_samples():
     with pytest.raises(ValueError):
         mad0_batch(np.zeros(5), np.full(5, 0.2))
+
+
+# --- Per-thread scratch -----------------------------------------------------
+
+
+def _on_new_thread(fn, *args):
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def _calls():
+    """(samples, weights) pairs that grow, shrink and regrow the scratch."""
+    rng = np.random.default_rng(30)
+    out = []
+    for n, rows, stacked in ((10, 40000, False), (3, 7, True), (101, 300, True),
+                             (5, 40000, False), (10, 40000, True), (2, 1, False),
+                             (LIMIT, 2 * _block_rows(LIMIT) + 1, True)):
+        stack = np.stack([median_weights(n, kind) for kind in ALL_KINDS])
+        out.append((rng.standard_normal((rows, n)), stack if stacked else stack[1]))
+    return out
+
+
+def test_reused_scratch_gives_fresh_thread_results():
+    calls = _calls()
+    warm = _on_new_thread(lambda: [mad0_batch(x, w) for x, w in calls])
+    for (x, w), got in zip(calls, warm):
+        assert np.array_equal(_bits(got), _bits(_on_new_thread(mad0_batch, x, w))), x.shape
+        stack = np.atleast_2d(w)
+        expected = np.stack([_mad0_np_sort(x, wk) for wk in stack])
+        assert np.array_equal(_bits(np.atleast_2d(got)), _bits(expected)), x.shape
+
+
+def test_concurrent_threads_keep_their_own_scratch():
+    calls = [call for call in _calls() if len(call[0]) > 1000][:2]
+    expected = [mad0_batch(x, w) for x, w in calls]
+    start = threading.Barrier(len(calls))
+
+    def repeat(call):
+        start.wait()
+        return [mad0_batch(*call) for _ in range(6)]
+
+    with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+        results = list(pool.map(repeat, calls))
+    for want, got in zip(expected, results):
+        for mads in got:
+            assert np.array_equal(_bits(mads), _bits(want))
+
+
+def test_result_never_aliases_scratch():
+    def two_calls():
+        x, w = _calls()[0]
+        first = mad0_batch(x, w)
+        second = mad0_batch(x, w)
+        return first, second, _kernel.thread_scratch("kernel", 0)
+
+    first, second, scratch = _on_new_thread(two_calls)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, scratch)
+    assert not np.shares_memory(second, scratch)
+    assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("n", (5, 10))
+def test_warm_call_allocates_less_than_one_block(n):
+    # A chunk-sized call on a thread that has made one before reuses its
+    # scratch: what it still allocates (the result, per-block medians) is
+    # well under one block buffer.
+    samples = np.random.default_rng(31).standard_normal((16384, n))
+    weights = median_weights(n, HD)
+
+    def warm_peak():
+        mad0_batch(samples, weights)
+        tracemalloc.start()
+        try:
+            mad0_batch(samples, weights)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert _on_new_thread(warm_peak) < _kernel._BLOCK_VALUES * 8

@@ -14,6 +14,7 @@ from madkit.mad import correction_factor, factor_table, mad_corrected
 from madkit.quantiles import HD, SM, THD_SQRT, median_weights, thd
 from madkit.simulate import (
     SimulationConfig,
+    _normal_matrix,
     efficiency,
     estimate_factors,
     fit_embedded,
@@ -57,6 +58,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="estimator hd is listed more than once"):
             make_config(estimators=(HD, SM, HD))
         make_config(estimators=(THD_SQRT, thd(0.5)))  # different widths are different
+
+    def test_rejects_repeated_sample_size(self):
+        with pytest.raises(ConfigError, match="sample size 5 is listed more than once"):
+            make_config(sample_sizes=(3, 5, 4, 5, 3))
 
     def test_rejects_repeated_distribution(self):
         # Specs compare by family and parameter values, not by spelling.
@@ -320,6 +325,22 @@ class TestStreamContract:
             for rng, count in zip(self.chunk_streams(5, (3, 1, 7), counts), counts)
         ]) * correction_factor(7, THD_SQRT)
         assert row.dispersion == float(np.std(estimates, ddof=1))
+
+    def test_normal_draws_fill_one_reused_buffer(self):
+        # The samples live only for their chunk, so each draw refills this
+        # thread's buffer with the values a fresh matrix would hold.
+        first = _normal_matrix(RngStream(8, 1).generator(), (300, 5))
+        expected = RngStream(8, 2).generator().standard_normal((200, 3))
+        second = _normal_matrix(RngStream(8, 2).generator(), (200, 3))
+        assert np.shares_memory(first, second)
+        assert np.array_equal(second, expected)
+
+    def test_study_on_calling_thread_leaves_no_scratch(self):
+        from madkit import _kernel
+
+        _normal_matrix(RngStream(8, 1).generator(), (300, 5))
+        estimate_factors(make_config(sample_sizes=(3,), repetitions=200), threads=1)
+        assert vars(_kernel._scratch) == {}
 
 
 class TestNoBlasThreads:
