@@ -1,6 +1,7 @@
 """The batch kernel must agree with the scalar MAD path, and bit for bit
 with its formulation on ``np.sort``."""
 import itertools
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -226,16 +227,23 @@ def test_reused_scratch_gives_fresh_thread_results():
 
 
 def test_concurrent_threads_keep_their_own_scratch():
-    calls = [call for call in _calls() if len(call[0]) > 1000][:2]
+    # More threads than cores and a short switch interval, so calls of
+    # different widths interleave; a shared buffer would mix their rows.
+    calls = [call for call in _calls() if len(call[0]) > 1000]
     expected = [mad0_batch(x, w) for x, w in calls]
     start = threading.Barrier(len(calls))
 
     def repeat(call):
-        start.wait()
-        return [mad0_batch(*call) for _ in range(6)]
+        start.wait(timeout=60)
+        return [mad0_batch(*call) for _ in range(3)]
 
-    with ThreadPoolExecutor(max_workers=len(calls)) as pool:
-        results = list(pool.map(repeat, calls))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(calls)) as pool:
+            results = list(pool.map(repeat, calls, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
     for want, got in zip(expected, results):
         for mads in got:
             assert np.array_equal(_bits(mads), _bits(want))
