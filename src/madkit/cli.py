@@ -17,6 +17,7 @@ thread counts.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -231,7 +232,13 @@ def _add_sim_flags(parser, default_reps: int, estimators: bool = False) -> None:
                         help="write CSV to PATH instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main()`` call of the process.
+
+    Parsing leaves the parser as it was, so every later call reuses it;
+    defaults are immutable, so no parse sees another's values.
+    """
     parser = argparse.ArgumentParser(
         prog="madkit",
         description="Bias-corrected median absolute deviation toolkit",
@@ -256,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sens = sub.add_parser("sensitivity", help="dispersion of MAD estimates per distribution")
     _add_sim_flags(p_sens, default_reps=1_000, estimators=True)
-    p_sens.add_argument("--dist", type=_dist_list, default=list(DEFAULT_SENSITIVITY_SET),
+    p_sens.add_argument("--dist", type=_dist_list, default=DEFAULT_SENSITIVITY_SET,
                         metavar="SPECS",
                         help="comma-separated distribution specs, e.g. "
                              "'cauchy(x0=0,gamma=1),uniform(a=0,b=1)' "

@@ -62,12 +62,18 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _open_uniform(rng: np.random.Generator, size) -> np.ndarray:
+def _open_uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     # Uniform on the open interval (0, 1): keeps every log/tan transform finite.
-    return rng.integers(1, 1 << 53, size=size).astype(np.float64) * 2.0**-53
+    # The integers are below 2**53, so their cast to float64 is exact.
+    return np.multiply(rng.integers(1, 1 << 53, size=out.shape), 2.0**-53, out=out)
 
 
-DrawFn = Callable[[np.random.Generator, tuple, dict], np.ndarray]
+# A family's draw fills ``out`` (float64, C-contiguous) in place and returns
+# it.  The transforms run on ``out`` with ``out=`` ufuncs and in-place
+# operators, each the same operation on the same operands as the
+# expression in its comment, so the values do not depend on which buffer
+# is filled.
+DrawFn = Callable[[np.random.Generator, np.ndarray, dict], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -79,71 +85,131 @@ class _Family:
     draw: DrawFn
 
 
-def _draw_uniform(rng, size, p):
-    return p["a"] + (p["b"] - p["a"]) * _open_uniform(rng, size)
+def _draw_uniform(rng, out, p):
+    # a + (b - a) * u
+    u = _open_uniform(rng, out)
+    u *= p["b"] - p["a"]
+    u += p["a"]
+    return u
 
 
-def _draw_triangular(rng, size, p):
+def _draw_triangular(rng, out, p):
+    # where(u < fc, a + sqrt(u * (b - a) * (c - a)),
+    #               b - sqrt((1 - u) * (b - a) * (b - c)))
     a, b, c = p["a"], p["b"], p["c"]
-    u = _open_uniform(rng, size)
-    fc = (c - a) / (b - a)
-    lower = a + np.sqrt(u * (b - a) * (c - a))
-    upper = b - np.sqrt((1.0 - u) * (b - a) * (b - c))
-    return np.where(u < fc, lower, upper)
+    u = _open_uniform(rng, out)
+    lower = u < (c - a) / (b - a)
+    upper = ~lower
+    np.subtract(1.0, u, out=u, where=upper)
+    u *= b - a
+    np.multiply(u, c - a, out=u, where=lower)
+    np.multiply(u, b - c, out=u, where=upper)
+    np.sqrt(u, out=u)
+    np.add(a, u, out=u, where=lower)
+    np.subtract(b, u, out=u, where=upper)
+    return u
 
 
-def _draw_beta(rng, size, p):
-    g1 = rng.standard_gamma(p["a"], size=size)
-    g2 = rng.standard_gamma(p["b"], size=size)
-    return g1 / (g1 + g2)
+def _draw_beta(rng, out, p):
+    # g1 / (g1 + g2)
+    g1 = rng.standard_gamma(p["a"], out=out)
+    g2 = rng.standard_gamma(p["b"], size=out.shape)
+    g2 += g1
+    g1 /= g2
+    return g1
 
 
-def _draw_normal(rng, size, p):
-    return p["m"] + p["sd"] * rng.standard_normal(size=size)
+def _draw_normal(rng, out, p):
+    # m + sd * z
+    z = rng.standard_normal(out=out)
+    z *= p["sd"]
+    z += p["m"]
+    return z
 
 
-def _draw_weibull(rng, size, p):
-    u = _open_uniform(rng, size)
-    return p["scale"] * (-np.log1p(-u)) ** (1.0 / p["shape"])
+def _draw_weibull(rng, out, p):
+    # scale * (-log1p(-u)) ** (1 / shape)
+    u = _open_uniform(rng, out)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.negative(u, out=u)
+    u **= 1.0 / p["shape"]
+    u *= p["scale"]
+    return u
 
 
-def _draw_student(rng, size, p):
+def _draw_student(rng, out, p):
+    # z / sqrt(2 * gamma(df / 2) / df)
     df = p["df"]
-    z = rng.standard_normal(size=size)
-    chi2 = 2.0 * rng.standard_gamma(df / 2.0, size=size)
-    return z / np.sqrt(chi2 / df)
+    z = rng.standard_normal(out=out)
+    chi2 = rng.standard_gamma(df / 2.0, size=out.shape)
+    chi2 *= 2.0
+    chi2 /= df
+    np.sqrt(chi2, out=chi2)
+    z /= chi2
+    return z
 
 
-def _draw_gumbel(rng, size, p):
-    u = _open_uniform(rng, size)
-    return p["loc"] - p["scale"] * np.log(-np.log(u))
+def _draw_gumbel(rng, out, p):
+    # loc - scale * log(-log(u))
+    u = _open_uniform(rng, out)
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    np.log(u, out=u)
+    u *= p["scale"]
+    return np.subtract(p["loc"], u, out=u)
 
 
-def _draw_exponential(rng, size, p):
-    return -np.log1p(-_open_uniform(rng, size)) / p["rate"]
+def _draw_exponential(rng, out, p):
+    # -log1p(-u) / rate
+    u = _open_uniform(rng, out)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.negative(u, out=u)
+    u /= p["rate"]
+    return u
 
 
-def _draw_cauchy(rng, size, p):
-    u = _open_uniform(rng, size)
-    return p["x0"] + p["gamma"] * np.tan(np.pi * (u - 0.5))
+def _draw_cauchy(rng, out, p):
+    # x0 + gamma * tan(pi * (u - 0.5))
+    u = _open_uniform(rng, out)
+    u -= 0.5
+    u *= np.pi
+    np.tan(u, out=u)
+    u *= p["gamma"]
+    u += p["x0"]
+    return u
 
 
-def _draw_pareto(rng, size, p):
-    u = _open_uniform(rng, size)
-    return p["loc"] * (1.0 - u) ** (-1.0 / p["shape"])
+def _draw_pareto(rng, out, p):
+    # loc * (1 - u) ** (-1 / shape)
+    u = _open_uniform(rng, out)
+    np.subtract(1.0, u, out=u)
+    u **= -1.0 / p["shape"]
+    u *= p["loc"]
+    return u
 
 
-def _draw_lognormal(rng, size, p):
-    return np.exp(p["mlog"] + p["sdlog"] * rng.standard_normal(size=size))
+def _draw_lognormal(rng, out, p):
+    # exp(mlog + sdlog * z)
+    z = rng.standard_normal(out=out)
+    z *= p["sdlog"]
+    z += p["mlog"]
+    return np.exp(z, out=z)
 
 
-def _draw_frechet(rng, size, p):
-    u = _open_uniform(rng, size)
-    return (-np.log(u)) ** (-1.0 / p["shape"])
+def _draw_frechet(rng, out, p):
+    # (-log(u)) ** (-1 / shape)
+    u = _open_uniform(rng, out)
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    u **= -1.0 / p["shape"]
+    return u
 
 
-def _draw_constant(rng, size, p):
-    return np.full(size, p["value"])
+def _draw_constant(rng, out, p):
+    out.fill(p["value"])
+    return out
 
 
 def _positive(*names):
@@ -224,9 +290,21 @@ class DistributionSpec:
     def _family(self) -> _Family:
         return _FAMILIES[self.family]
 
-    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        """Raw i.i.d. draws (unsorted), any shape."""
-        return self._family.draw(rng, size, dict(self.params))
+    def draw(self, rng: np.random.Generator, size, out: np.ndarray | None = None) -> np.ndarray:
+        """Raw i.i.d. draws (unsorted), any shape.
+
+        ``out``, a C-contiguous float64 array of shape ``size``, receives
+        the draws and is returned; it gets the values a fresh array would.
+        Uniform-based families still allocate their integer draws.
+        """
+        shape = tuple(size) if np.iterable(size) else (size,)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape or out.dtype != np.float64:
+            raise ValueError(
+                f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}"
+            )
+        return self._family.draw(rng, out, dict(self.params))
 
     def __str__(self) -> str:
         args = ",".join(f"{k}={_format_param(v)}" for k, v in self.params)

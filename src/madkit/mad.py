@@ -18,15 +18,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from madkit import factor_tables as tables
-from madkit.errors import FactorRangeError, SampleError
+from madkit._kernel import mad0_batch, release_thread_scratch
+from madkit.errors import DomainError, FactorRangeError, SampleError
 from madkit.quantiles import (
     SM,
     MedianEstimator,
     Sample,
     SampleLike,
-    as_sample,
-    median,
+    finite_values,
+    median_weights,
 )
 from madkit.specfun import normal_quantile
 
@@ -231,34 +234,56 @@ class MadValue:
     factor_source: str
 
 
+def _values(x: SampleLike) -> np.ndarray:
+    return x.values if isinstance(x, Sample) else finite_values(x)
+
+
+def _mad0(values: np.ndarray, kind: MedianEstimator) -> float:
+    """The raw MAD of finite ``values`` (any order) by the batch kernel."""
+    n = values.size
+    if n < 2:
+        raise SampleError(f"MAD requires at least two observations, got {n}")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            mad = float(mad0_batch(values[None, :], median_weights(n, kind))[0])
+    finally:
+        # One row's buffers are not worth keeping for the next call.
+        release_thread_scratch()
+    if not math.isfinite(mad):
+        raise DomainError(
+            "the absolute deviations from the median overflow float64; "
+            "rescale the sample"
+        )
+    return mad
+
+
 def mad_uncorrected(x: SampleLike, kind: MedianEstimator = SM) -> float:
     """median(|x - median(x)|), both medians by the same estimator.
 
-    Rejects n < 2: a single observation has zero deviation and no finite
-    correction factor exists.
+    Computed by the batch kernel ``mad0_batch`` on one row, so it is the
+    MAD the Monte-Carlo studies compute, bit for bit.  Rejects n < 2: a
+    single observation has zero deviation and no finite correction factor
+    exists.  Raises ``DomainError`` for non-finite input and when the
+    deviations overflow float64.
     """
-    x = as_sample(x)
-    if x.n < 2:
-        raise SampleError(f"MAD requires at least two observations, got {x.n}")
-    center = median(x, kind)
-    deviations = Sample(abs(x.values - center))
-    return median(deviations, kind)
+    return _mad0(_values(x), kind)
 
 
 def mad_corrected(
     x: SampleLike, kind: MedianEstimator = SM, model: FactorModel = DEFAULT_MODEL
 ) -> MadValue:
     """Bias-corrected MAD: C_n times the raw MAD."""
-    x = as_sample(x)
-    raw = mad_uncorrected(x, kind)
-    c_n = correction_factor(x.n, kind, model)
+    values = _values(x)
+    raw = _mad0(values, kind)
+    n = values.size
+    c_n = correction_factor(n, kind, model)
     return MadValue(
         uncorrected=raw,
         factor=c_n,
         corrected=c_n * raw,
-        n=x.n,
+        n=n,
         estimator=kind,
-        factor_source=model.source(x.n),
+        factor_source=model.source(n),
     )
 
 

@@ -61,12 +61,7 @@ class Sample:
     __slots__ = ("_values",)
 
     def __init__(self, values: Iterable[float]):
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 1:
-            arr = arr.reshape(-1)
-        if arr.size and not np.isfinite(arr).all():
-            raise DomainError("sample values must be finite (no NaN or infinity)")
-        arr = np.sort(arr)
+        arr = np.sort(finite_values(values))
         arr.flags.writeable = False
         self._values = arr
 
@@ -87,6 +82,20 @@ class Sample:
 
 
 SampleLike = Union[Sample, Iterable[float]]
+
+
+def finite_values(values: Iterable[float]) -> np.ndarray:
+    """``values`` as a flat float64 array, unsorted; rejects NaN and infinity.
+
+    An input that already is a flat float64 array is returned as it is,
+    not copied.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1:
+        arr = arr.reshape(-1)
+    if arr.size and not np.isfinite(arr).all():
+        raise DomainError("sample values must be finite (no NaN or infinity)")
+    return arr
 
 
 def as_sample(x: SampleLike) -> Sample:
@@ -190,10 +199,15 @@ def hf7_quantile(x: SampleLike, p: float) -> float:
     v = x.values
     n = x.n
     if p == 0.5:
-        # Exact median forms, so SM agrees bitwise with weighted-sum medians
-        # that collapse onto the same order statistics.
+        # The batch kernel's weighted sum, clamped to the sample's range as
+        # the kernel and ``_weighted_sum`` do, so SM agrees with them
+        # bitwise.  Halving each term first cannot overflow, as
+        # 0.5 * (lo + hi) does for lo + hi beyond the float64 range.
         mid = n // 2
-        return float(v[mid]) if n % 2 else float(0.5 * (v[mid - 1] + v[mid]))
+        if n % 2:
+            return float(v[mid])
+        mean = float(0.5 * v[mid - 1] + 0.5 * v[mid])
+        return min(max(mean, float(v[0])), float(v[-1]))
     h = (n - 1) * p
     i = int(math.floor(h))
     if i >= n - 1:

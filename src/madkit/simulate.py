@@ -226,13 +226,22 @@ def _mean_variance(parts: Sequence[tuple[float, float]], reps: int) -> tuple[flo
     return mean, max(0.0, (total_sq - reps * mean * mean) / (reps - 1))
 
 
-def _normal_matrix(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
-    # Drawn into this thread's reused buffer, like the kernel's scratch: the
-    # samples die with their chunk, and a fresh matrix per chunk was mapped
-    # and faulted in again (glibc maps blocks of this size when nothing
-    # larger was freed before, as for n = 2 first in a process).
+def _sample_buffer(shape: tuple[int, int]) -> np.ndarray:
+    # The draws go to this thread's reused buffer, like the kernel's scratch:
+    # the samples die with their chunk, and a fresh matrix per chunk was
+    # mapped and faulted in again (glibc maps blocks of this size when
+    # nothing larger was freed before, as for n = 2 first in a process).
     size = shape[0] * shape[1]
-    return rng.standard_normal(out=thread_scratch("normals", size)[:size].reshape(shape))
+    return thread_scratch("samples", size)[:size].reshape(shape)
+
+
+def _normal_matrix(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    return rng.standard_normal(out=_sample_buffer(shape))
+
+
+def _spec_draw(dist: DistributionSpec) -> Callable:
+    """``dist``'s draw for ``_chunk_parts``, into the thread's sample buffer."""
+    return lambda rng, shape: dist.draw(rng, shape, out=_sample_buffer(shape))
 
 
 def _chunk_parts(config: SimulationConfig, key: tuple[int, ...], draw: Callable,
@@ -241,8 +250,8 @@ def _chunk_parts(config: SimulationConfig, key: tuple[int, ...], draw: Callable,
 
     Chunk i draws its ``(count, n)`` samples with ``draw(rng, shape)`` from
     the stream keyed by ``(*key, i)``; ``weights`` is one ``n``-vector or a
-    ``(k, n)`` stack.  The samples may be a view of the thread's scratch
-    (``_normal_matrix``), so nothing keeps them past the chunk.
+    ``(k, n)`` stack.  The samples are a view of the thread's scratch
+    (``_sample_buffer``), so nothing keeps them past the chunk.
     """
     n = weights.shape[-1]
 
@@ -252,8 +261,8 @@ def _chunk_parts(config: SimulationConfig, key: tuple[int, ...], draw: Callable,
         # The generator is freed before the kernel runs.  Freeing the
         # samples before the reduction instead of after it measures the
         # same (page faults of a two-thread factors run, calibrate and
-        # sensitivity cycle_s), since the kernel's buffers and the normal
-        # draws live in thread scratch.
+        # sensitivity cycle_s), since the kernel's buffers and the draws
+        # live in thread scratch.
         samples = draw(stream.generator(), (count, n))
         return reduce(mad0_batch(samples, weights))
 
@@ -354,7 +363,7 @@ def sensitivity(config: SimulationConfig, threads: int = 1) -> SensitivityReport
             weights = np.stack([median_weights(n, est) for est in config.estimators])
             factors = [correction_factor(n, est) for est in config.estimators]
             parts = _chunk_parts(
-                config, (_TAG_SENSITIVITY, dist_index, n), dist.draw, weights,
+                config, (_TAG_SENSITIVITY, dist_index, n), _spec_draw(dist), weights,
                 lambda mads: [m * f for m, f in zip(mads, factors)],
                 threads,
             )

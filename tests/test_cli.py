@@ -84,6 +84,21 @@ class TestMadCommand:
         code, _, err = run_cli(["mad", "/definitely/not/here.txt"], capsys)
         assert code == 2
 
+    def test_huge_pair_is_finite(self, capsys, monkeypatch):
+        # The sm midpoint of these two finite values once overflowed.
+        for est in ("sm", "hd", "thd-sqrt"):
+            argv = ["mad", "-", "--estimator", est, "--csv"]
+            code, out, _ = run_cli(argv, capsys, "1e308 1.5e308\n", monkeypatch)
+            assert code == 0
+            assert out.splitlines()[1].split(",")[2] == "2.5e+307"
+
+    @pytest.mark.parametrize("est", ["sm", "hd", "thd-sqrt"])
+    def test_overflowing_deviations_exit_2(self, est, capsys, monkeypatch):
+        text = "-1e308 1e308 1.5e308 1.7e308\n"
+        code, out, err = run_cli(["mad", "-", "--estimator", est], capsys, text, monkeypatch)
+        assert (code, out) == (2, "")
+        assert "deviations from the median overflow float64" in err
+
     @pytest.mark.parametrize(
         "n,model,source",
         [(2, "default", "exact"), (100, "default", "table"), (101, "default", "fitted"),
@@ -427,6 +442,49 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["factors", "--n", "2;3"])
         assert excinfo.value.code == 2
+
+
+class TestParserReuse:
+    """One parser serves every ``main()`` call of a process."""
+
+    def test_built_once(self, capsys, monkeypatch):
+        from madkit import cli
+
+        cli._build_parser.cache_clear()
+        for est in ("sm", "hd", "sm"):
+            assert run_cli(["mad", "--estimator", est], capsys, "1 2 4", monkeypatch)[0] == 0
+        assert run_cli(["tables", "--estimator", "hd"], capsys)[0] == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    @pytest.mark.parametrize("bad", [["mad", "--estimator"], ["mad", "--model", "nope"],
+                                     ["factors", "--n", "2;3"], ["frobnicate"]])
+    def test_usage_error_then_valid_call(self, bad, capsys, monkeypatch):
+        argv = ["mad", "-", "--estimator", "sm", "--csv"]
+        expected = run_cli(argv, capsys, "1 2 4 8", monkeypatch)
+        with pytest.raises(SystemExit) as excinfo:
+            main(bad)
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        assert run_cli(argv, capsys, "1 2 4 8", monkeypatch) == expected
+        assert expected[1] == "n,estimator,mad0,factor,mad\n4,sm,1.5,2.0172,3.0258\n"
+
+    def test_default_dists_seen_by_every_parse(self, capsys, monkeypatch):
+        from madkit import cli
+
+        seen = []
+        study = cli.sensitivity
+
+        def record(config, threads=1):
+            seen.append(config.distributions)
+            return study(config, threads)
+
+        monkeypatch.setattr(cli, "sensitivity", record)
+        argv = ["sensitivity", "--n", "3", "--reps", "100", "--seed", "1"]
+        outputs = [run_cli(argv, capsys)[1] for _ in range(2)]
+        assert seen == [DEFAULT_SENSITIVITY_SET] * 2
+        assert len(seen[0]) == 20
+        assert outputs[0] == outputs[1]
 
 
 class TestThreadsAndInternalChecks:

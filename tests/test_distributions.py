@@ -185,3 +185,88 @@ class TestMomentSpotChecks:
                      "gumbel()", "lognormal(sdlog=3)"):
             draws = parse_spec(text).draw(RngStream(9, 9).generator(), 10**6)
             assert np.isfinite(draws).all(), text
+
+
+def _open_uniform_reference(rng, size):
+    return rng.integers(1, 1 << 53, size=size).astype(np.float64) * 2.0**-53
+
+
+def _reference_draw(spec: DistributionSpec, rng, size):
+    """Each family's transform as one out-of-place expression."""
+    p = dict(spec.params)
+    u = lambda: _open_uniform_reference(rng, size)  # noqa: E731
+    family = spec.family
+    if family == "uniform":
+        return p["a"] + (p["b"] - p["a"]) * u()
+    if family == "triangular":
+        a, b, c = p["a"], p["b"], p["c"]
+        x = u()
+        lower = a + np.sqrt(x * (b - a) * (c - a))
+        upper = b - np.sqrt((1.0 - x) * (b - a) * (b - c))
+        return np.where(x < (c - a) / (b - a), lower, upper)
+    if family == "beta":
+        g1 = rng.standard_gamma(p["a"], size=size)
+        g2 = rng.standard_gamma(p["b"], size=size)
+        return g1 / (g1 + g2)
+    if family == "normal":
+        return p["m"] + p["sd"] * rng.standard_normal(size=size)
+    if family == "weibull":
+        return p["scale"] * (-np.log1p(-u())) ** (1.0 / p["shape"])
+    if family == "student":
+        z = rng.standard_normal(size=size)
+        chi2 = 2.0 * rng.standard_gamma(p["df"] / 2.0, size=size)
+        return z / np.sqrt(chi2 / p["df"])
+    if family == "gumbel":
+        return p["loc"] - p["scale"] * np.log(-np.log(u()))
+    if family == "exp":
+        return -np.log1p(-u()) / p["rate"]
+    if family == "cauchy":
+        return p["x0"] + p["gamma"] * np.tan(np.pi * (u() - 0.5))
+    if family == "pareto":
+        return p["loc"] * (1.0 - u()) ** (-1.0 / p["shape"])
+    if family == "lognormal":
+        return np.exp(p["mlog"] + p["sdlog"] * rng.standard_normal(size=size))
+    if family == "frechet":
+        return (-np.log(u())) ** (-1.0 / p["shape"])
+    if family == "constant":
+        return np.full(size, p["value"])
+    raise AssertionError(family)
+
+
+# Every family at least once, the triangular mode at both ends.
+DRAW_SPECS = tuple(DEFAULT_SENSITIVITY_SET) + tuple(parse_spec(t) for t in (
+    "constant(value=-2.5)", "triangular(a=-1,b=5,c=-1)", "triangular(a=-1,b=5,c=5)",
+    "beta(a=0.5,b=0.3)", "student(df=1)", "exp(rate=3)", "uniform(a=-3,b=-2)",
+))
+
+
+class TestDrawInto:
+    @pytest.mark.parametrize("spec", DRAW_SPECS, ids=str)
+    @pytest.mark.parametrize("shape", [(4096, 5), (3, 7), (11,)])
+    def test_out_gets_the_values_of_a_fresh_draw(self, spec, shape):
+        def rng():
+            return RngStream(31, 7).generator()
+
+        out = np.full(shape, np.nan)  # stale contents must not leak through
+        got = spec.draw(rng(), shape, out=out)
+        assert got is out
+        fresh = spec.draw(rng(), shape)
+        assert not np.shares_memory(fresh, out)
+        expected = _reference_draw(spec, rng(), shape)
+        for values in (got, fresh):
+            assert values.shape == shape
+            assert np.array_equal(values.view(np.uint64), expected.view(np.uint64)), spec
+
+    def test_view_of_a_larger_buffer(self):
+        spec = parse_spec("lognormal(sdlog=2)")
+        buffer = np.zeros(1000)
+        got = spec.draw(RngStream(3).generator(), (30, 20), out=buffer[:600].reshape(30, 20))
+        assert np.shares_memory(got, buffer)
+        assert np.array_equal(got, spec.draw(RngStream(3).generator(), (30, 20)))
+        assert not buffer[600:].any()
+
+    @pytest.mark.parametrize("out", [np.empty((5, 4)), np.empty(20), np.empty((4, 5), np.float32)],
+                             ids=["shape", "flat", "dtype"])
+    def test_rejects_mismatched_out(self, out):
+        with pytest.raises(ValueError):
+            parse_spec("normal()").draw(RngStream(1).generator(), (4, 5), out=out)

@@ -1,5 +1,5 @@
-"""The batch kernel must agree with the scalar MAD path, and bit for bit
-with its formulation on ``np.sort``."""
+"""The batch kernel must agree with the MAD composed from the public
+``median()``, and bit for bit with its formulation on ``np.sort``."""
 import itertools
 import sys
 import threading
@@ -12,9 +12,15 @@ import pytest
 from madkit import _kernel
 from madkit._kernel import _NETWORK_MAX_WIDTH, _sort_rows, mad0_batch
 from madkit.mad import mad_uncorrected
-from madkit.quantiles import HD, SM, THD_SQRT, median_weights
+from madkit.quantiles import HD, SM, THD_SQRT, Sample, median, median_weights
 
 ALL_KINDS = (SM, HD, THD_SQRT)
+
+
+def _mad_reference(row, kind):
+    """The raw MAD composed from ``median()`` on ``Sample``s, without the kernel."""
+    x = Sample(row)
+    return median(Sample(np.abs(x.values - median(x, kind))), kind)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
@@ -23,8 +29,23 @@ def test_batch_matches_scalar_path(kind):
     for n in (2, 3, 4, 5, 7, 10, 12, 17, 33, 64, 301):
         samples = rng.standard_normal((40, n))
         batch = mad0_batch(samples, median_weights(n, kind))
-        expected = [mad_uncorrected(row, kind) for row in samples]
+        expected = [_mad_reference(row, kind) for row in samples]
         assert batch == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
+def test_mad_uncorrected_is_the_composed_mad_bitwise(kind):
+    # mad_uncorrected runs the kernel on one row; at the boundary sizes it
+    # gives the bits of the composition from median().
+    rng = np.random.default_rng(12)
+    for n in (*range(2, 40), 99, 100, 101, 1000, 10001, 100_000):
+        rows = [rng.standard_normal(n), rng.standard_cauchy(n) * 1e3,
+                rng.integers(-3, 4, n).astype(np.float64)]
+        if n <= 1000:
+            rows.append(rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300))
+        for row in rows:
+            got, want = mad_uncorrected(row, kind), _mad_reference(row, kind)
+            assert got.hex() == want.hex(), (n, got, want)
 
 
 def test_input_not_mutated():
@@ -71,7 +92,7 @@ def test_constant_rows_give_exact_zero(kind, n):
     ])
     samples = np.repeat(constants[:, None], n, axis=1)
     assert np.array_equal(mad0_batch(samples, median_weights(n, kind)), np.zeros(len(constants)))
-    assert all(mad_uncorrected(row, kind) == 0.0 for row in samples)
+    assert all(_mad_reference(row, kind) == 0.0 for row in samples)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
@@ -81,7 +102,7 @@ def test_huge_rows_stay_finite(kind):
         samples = rng.standard_normal((40, n)) * 1e150
         batch = mad0_batch(samples, median_weights(n, kind))
         assert np.isfinite(batch).all()
-        expected = [mad_uncorrected(row, kind) for row in samples]
+        expected = [_mad_reference(row, kind) for row in samples]
         np.testing.assert_allclose(batch, expected, rtol=1e-12, atol=0)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from madkit import factor_tables as tables
-from madkit.errors import FactorRangeError, SampleError
+from madkit.errors import DomainError, FactorRangeError, SampleError
 from madkit.mad import (
     DEFAULT_MODEL,
     AsymptoticFactors,
@@ -23,7 +23,7 @@ from madkit.mad import (
     mad_corrected,
     mad_uncorrected,
 )
-from madkit.quantiles import HD, SM, THD_SQRT, thd
+from madkit.quantiles import HD, SM, THD_SQRT, Sample, thd
 
 Q75 = 0.674489750196082
 ALL_KINDS = (SM, HD, THD_SQRT)
@@ -50,6 +50,48 @@ class TestMadUncorrected:
     def test_too_small(self, data):
         with pytest.raises(SampleError):
             mad_uncorrected(data, SM)
+
+    @pytest.mark.parametrize("data", [[1.0, math.nan], [math.inf, 1.0, 2.0], [-math.inf]])
+    def test_non_finite_rejected(self, data):
+        with pytest.raises(DomainError, match="must be finite"):
+            mad_uncorrected(data, SM)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+    def test_huge_pair(self, kind):
+        # Half the gap, although the sum of the two values overflows.
+        assert mad_uncorrected([1e308, 1.5e308], kind) == 2.5e307
+        assert mad_uncorrected([-1.5e308, -1e308], kind) == 2.5e307
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+    @pytest.mark.parametrize("data", [[-1e308, 1e308, 1.5e308, 1.7e308],
+                                      [-1.7e308, -1.6e308, 1.7e308]])
+    def test_overflowing_deviations_rejected(self, kind, data):
+        with pytest.raises(DomainError, match="deviations from the median overflow float64"):
+            mad_uncorrected(data, kind)
+        with pytest.raises(DomainError, match="overflow float64"):
+            mad_corrected(data, kind)
+
+    def test_input_order_and_type_irrelevant(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(101)
+        for kind in ALL_KINDS:
+            want = mad_uncorrected(np.sort(x), kind)
+            assert mad_uncorrected(x, kind) == want
+            assert mad_uncorrected(x.tolist(), kind) == want
+            assert mad_uncorrected(Sample(x), kind) == want
+            assert mad_uncorrected(x.reshape(1, -1), kind) == want
+
+    def test_leaves_no_kernel_scratch(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        from madkit import _kernel
+
+        def call():
+            mad_corrected(np.random.default_rng(5).standard_normal(10_000), HD)
+            return dict(vars(_kernel._scratch))
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(call).result() == {}
 
 
 class TestDefaultModel:

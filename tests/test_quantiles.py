@@ -73,6 +73,32 @@ class TestHf7:
         with pytest.raises(DomainError):
             hf7_quantile([1, 2], 1.5)
 
+    def test_even_median_of_huge_values_is_finite(self):
+        assert median([1e308, 1.5e308], SM) == 1.25e308
+        assert median([-1.7e308, -1e308, 1e308, 1.7e308], SM) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 4, 10])
+    def test_sm_median_is_the_kernels(self, n):
+        from madkit._kernel import _weighted_median
+
+        rng = np.random.default_rng(40 + n)
+        big = 1.7976931348623157e308
+        tiny = 5e-324
+        rows = np.concatenate([
+            rng.standard_normal((200, n)),
+            rng.uniform(-1.0, 1.0, (200, n)) * big,
+            rng.choice([-big, -1.5e308, -1e308, 1e308, 1.5e308, big], (200, n)),
+            rng.integers(-6, 7, (200, n)) * tiny,
+            rng.choice([tiny, 2 * tiny, 3 * tiny, -tiny, -3 * tiny, 2.2250738585072014e-308],
+                       (200, n)),
+        ])
+        xs = np.sort(rows, axis=1)
+        kernel = _weighted_median(xs, median_weights(n, SM))
+        got = np.array([median(row, SM) for row in rows])
+        zero = kernel == 0.0  # sign of a zero median: the MAD takes |x - med|
+        assert np.array_equal(got[zero], kernel[zero])
+        assert np.array_equal(got[~zero].view(np.uint64), kernel[~zero].view(np.uint64))
+
 
 class TestHdWeights:
     def test_n2_split_evenly(self):

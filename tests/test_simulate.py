@@ -15,6 +15,7 @@ from madkit.quantiles import HD, SM, THD_SQRT, median_weights, thd
 from madkit.simulate import (
     SimulationConfig,
     _normal_matrix,
+    _spec_draw,
     efficiency,
     estimate_factors,
     fit_embedded,
@@ -334,6 +335,21 @@ class TestStreamContract:
         second = _normal_matrix(RngStream(8, 2).generator(), (200, 3))
         assert np.shares_memory(first, second)
         assert np.array_equal(second, expected)
+
+    def test_spec_draws_fill_the_same_buffer(self):
+        # Sensitivity's draws go to the buffer the normals use, with the
+        # values the spec's own draw returns.
+        from madkit._kernel import release_thread_scratch
+
+        try:
+            normals = _normal_matrix(RngStream(8, 1).generator(), (300, 5))
+            for text in ("student(df=3)", "triangular(a=0,b=2,c=0.2)", "constant(value=2)"):
+                spec = parse_spec(text)
+                got = _spec_draw(spec)(RngStream(8, 3).generator(), (120, 7))
+                assert np.shares_memory(got, normals)
+                assert np.array_equal(got, spec.draw(RngStream(8, 3).generator(), (120, 7)))
+        finally:
+            release_thread_scratch()
 
     def test_study_on_calling_thread_leaves_no_scratch(self):
         from madkit import _kernel
