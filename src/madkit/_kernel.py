@@ -47,7 +47,8 @@ to the OS when the call ends (glibc maps them), and the next call faults
 the same pages in again.  The returned array is always a fresh
 allocation, never a view of the scratch.  The studies' worker threads
 live for one cell, so their scratch goes with them, and a study run on the
-calling thread releases that thread's scratch when the cell ends.
+calling thread releases that thread's scratch when the cell ends, as a
+one-row ``mad.mad_uncorrected`` call does when it returns.
 """
 from __future__ import annotations
 

@@ -200,8 +200,8 @@ def hf7_quantile(x: SampleLike, p: float) -> float:
     n = x.n
     if p == 0.5:
         # The batch kernel's weighted sum, clamped to the sample's range as
-        # the kernel and ``_weighted_sum`` do, so SM agrees with them
-        # bitwise.  Halving each term first cannot overflow, as
+        # the kernel and ``_weighted_sum`` do, so SM agrees with them bit
+        # for bit, a zero's sign aside.  Halving each term first cannot overflow, as
         # 0.5 * (lo + hi) does for lo + hi beyond the float64 range.
         mid = n // 2
         if n % 2:
