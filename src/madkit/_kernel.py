@@ -6,6 +6,12 @@ then repeat on the sorted absolute deviations.  Its per-width throughput
 is measured by ``perfbench/run.py --trace 1`` (the ``_kernel.sweep_n*``
 metrics).
 
+``_weighted_median`` is madkit's only clamped weighted sum: every estimate
+in ``madkit.quantiles`` (``median``, ``hd_quantile``, ``thd_quantile``,
+``hf7_quantile`` at p = 0.5) is it on the sorted sample as one row, as a
+one-row ``mad.mad_uncorrected`` call is, so the studies, ``madkit mad``
+and the public estimators move together when the sum changes.
+
 The weighted sums are ``np.einsum`` (default ``optimize=False``), not
 ``@``: einsum runs NumPy's own loop and never calls BLAS.  OpenBLAS
 threads its matrix-vector product on wide rows, and its idle workers
@@ -172,6 +178,7 @@ def _sort_rows(a: np.ndarray, out: np.ndarray | None = None,
 
 
 def _weighted_median(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum(weights * row) per sorted row of ``rows``, clamped to [row[0], row[-1]]."""
     # Non-negative weights summing to 1 put the exact sum inside the row's
     # range; rounding can step past it, and a constant row must have a MAD
     # of exactly 0.

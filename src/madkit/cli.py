@@ -30,14 +30,13 @@ from madkit.errors import InternalCheckError, MadkitError
 from madkit.mad import MODEL_CHOICES, factor_table, mad_corrected
 from madkit.quantiles import THD_SQRT, parse_estimator
 from madkit.simulate import (
+    _FLOAT_FMT,
     SimulationConfig,
     efficiency,
     estimate_factors,
     fit_embedded,
     sensitivity,
 )
-
-_FMT = "%.10g"
 
 
 def _int_list(text: str) -> list[int]:
@@ -290,15 +289,15 @@ def _cmd_mad(args) -> int:
     if args.csv:
         sys.stdout.write("n,estimator,mad0,factor,mad\n")
         sys.stdout.write(
-            f"{result.n},{result.estimator.label},{_FMT % result.uncorrected},"
-            f"{_FMT % result.factor},{_FMT % result.corrected}\n"
+            f"{result.n},{result.estimator.label},{_FLOAT_FMT % result.uncorrected},"
+            f"{_FLOAT_FMT % result.factor},{_FLOAT_FMT % result.corrected}\n"
         )
     else:
         sys.stdout.write(f"n          {result.n}\n")
         sys.stdout.write(f"estimator  {result.estimator.label}\n")
-        sys.stdout.write(f"mad0       {_FMT % result.uncorrected}\n")
-        sys.stdout.write(f"factor     {_FMT % result.factor}\n")
-        sys.stdout.write(f"mad        {_FMT % result.corrected}\n")
+        sys.stdout.write(f"mad0       {_FLOAT_FMT % result.uncorrected}\n")
+        sys.stdout.write(f"factor     {_FLOAT_FMT % result.factor}\n")
+        sys.stdout.write(f"mad        {_FLOAT_FMT % result.corrected}\n")
         sys.stdout.write(f"factor_source {result.factor_source}\n")
     return 0
 

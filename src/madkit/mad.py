@@ -272,15 +272,18 @@ def mad_uncorrected(x: SampleLike, kind: MedianEstimator = SM) -> float:
 def mad_corrected(
     x: SampleLike, kind: MedianEstimator = SM, model: FactorModel = DEFAULT_MODEL
 ) -> MadValue:
-    """Bias-corrected MAD: C_n times the raw MAD."""
+    """Bias-corrected MAD: C_n times the raw MAD; ``DomainError`` if that overflows."""
     values = _values(x)
     raw = _mad0(values, kind)
     n = values.size
     c_n = correction_factor(n, kind, model)
+    corrected = c_n * raw
+    if not math.isfinite(corrected):
+        raise DomainError("the corrected MAD overflows float64; rescale the sample")
     return MadValue(
         uncorrected=raw,
         factor=c_n,
-        corrected=c_n * raw,
+        corrected=corrected,
         n=n,
         estimator=kind,
         factor_source=model.source(n),

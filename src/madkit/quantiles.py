@@ -15,7 +15,10 @@ Three estimators are provided:
   1/sqrt(n), a practical efficiency/robustness compromise.
 
 All estimators consume a :class:`Sample`, which sorts and validates its
-data once at construction.
+data once at construction.  Every estimate is a fixed weighted sum of the
+order statistics, clamped to the sample's range: the batch kernel's
+``_weighted_median`` on the sample as one row, so ``median(x, kind)`` is
+the median that ``mad.mad_uncorrected`` and the Monte-Carlo studies take.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
+from madkit._kernel import _weighted_median
 from madkit.errors import DomainError, SampleError
 from madkit.specfun import BetaParams, beta_pdf, reg_inc_beta
 
@@ -171,15 +175,9 @@ def _require_nonempty(x: Sample) -> None:
         raise SampleError("estimate requires a nonempty sample")
 
 
-def _weighted_sum(w: np.ndarray, x: Sample) -> float:
-    """Sum of weights times order statistics, kept inside the sample range.
-
-    einsum, not a BLAS dot product, which OpenBLAS runs multi-threaded at
-    large n.  The clamp undoes rounding only: the exact sum lies in
-    [min, max], and a constant sample must give exactly its constant.
-    """
-    v = x.values
-    return min(max(float(np.einsum("i,i->", w, v)), float(v[0])), float(v[-1]))
+def _estimate(w: np.ndarray, x: Sample) -> float:
+    """The kernel's clamped sum of weights times order statistics, for one sample."""
+    return float(_weighted_median(x.values[None, :], w)[0])
 
 
 def _check_open_prob(p: float) -> None:
@@ -190,30 +188,24 @@ def _check_open_prob(p: float) -> None:
 def hf7_quantile(x: SampleLike, p: float) -> float:
     """Hyndman-Fan type 7 sample quantile (linear order-statistic interpolation).
 
-    At p = 0.5 this is exactly the classic sample median.
+    At p = 0.5 this is ``median(x, SM)``, the classic sample median.
     """
     x = as_sample(x)
     _require_nonempty(x)
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"quantile order p must lie in [0, 1], got {p}")
-    v = x.values
-    n = x.n
     if p == 0.5:
-        # The batch kernel's weighted sum, clamped to the sample's range as
-        # the kernel and ``_weighted_sum`` do, so SM agrees with them bit
-        # for bit, a zero's sign aside.  Halving each term first cannot overflow, as
-        # 0.5 * (lo + hi) does for lo + hi beyond the float64 range.
-        mid = n // 2
-        if n % 2:
-            return float(v[mid])
-        mean = float(0.5 * v[mid - 1] + 0.5 * v[mid])
-        return min(max(mean, float(v[0])), float(v[-1]))
-    h = (n - 1) * p
+        return median(x, SM)
+    h = (x.n - 1) * p
     i = int(math.floor(h))
-    if i >= n - 1:
-        return float(v[n - 1])
+    if i >= x.n - 1:
+        return float(x.values[-1])
     g = h - i
-    return float(v[i] + g * (v[i + 1] - v[i]))
+    lo, hi = float(x.values[i]), float(x.values[i + 1])
+    if math.isfinite(hi - lo):
+        return lo + g * (hi - lo)
+    # lo < 0 < hi: neither term nor their sum overflows, and it lies in [lo, hi].
+    return (1.0 - g) * lo + g * hi
 
 
 def _hd_params(n: int, p: float) -> BetaParams:
@@ -267,10 +259,10 @@ def _hd_bracket(n: int, p: float, params: BetaParams) -> tuple[int, np.ndarray]:
 def _cdf_window(n: int, p: float, width: Optional[float]):
     """The part of the weight-generating CDF on the i/n grid that is not 0 or 1.
 
-    Returns ``(first, cdf, hdi)``: the CDF at grid point ``first + k`` is
+    Returns ``(first, cdf)``: the CDF at grid point ``first + k`` is
     ``cdf[k]``; it is 0 before ``first`` and 1 from ``first + len(cdf)`` on.
-    ``width`` is None for HD and the HDI width for THD; ``hdi`` is the
-    (left, right) interval, or None for HD and the degenerate-HDI fallback.
+    ``width`` is None for HD and the HDI width for THD; a degenerate HDI
+    falls back to the HD window.
 
     Each build is one array call of ``reg_inc_beta``, which runs the Beta
     CDF's continued fraction over all its points in lockstep.  For HD the
@@ -304,7 +296,7 @@ def _cdf_window(n: int, p: float, width: Optional[float]):
         cdf_left = cdf[0]
         window = (cdf[2:] - cdf_left) / (cdf[1] - cdf_left)
     window.flags.writeable = False
-    return first, window, hdi
+    return first, window
 
 
 def _dense_weights(n: int, p: float, first: int, window: np.ndarray) -> np.ndarray:
@@ -332,7 +324,7 @@ def hd_weights(n: int, p: float) -> np.ndarray:
     if n < 1:
         raise SampleError(f"need n >= 1, got {n}")
     _check_open_prob(p)
-    first, window, _ = _cdf_window(n, p, None)
+    first, window = _cdf_window(n, p, None)
     return _dense_weights(n, p, first, window)
 
 
@@ -340,8 +332,7 @@ def hd_quantile(x: SampleLike, p: float) -> float:
     """Harrell-Davis quantile estimate: weighted sum of all order statistics."""
     x = as_sample(x)
     _require_nonempty(x)
-    w = hd_weights(x.n, p)
-    return _weighted_sum(w, x)
+    return _estimate(hd_weights(x.n, p), x)
 
 
 def beta_hdi(params: BetaParams, width: float) -> Optional[tuple[float, float]]:
@@ -403,7 +394,7 @@ def thd_weights(n: int, p: float, width: float) -> np.ndarray:
     if n < 1:
         raise SampleError(f"need n >= 1, got {n}")
     _check_open_prob(p)
-    first, window, _ = _cdf_window(n, p, width)
+    first, window = _cdf_window(n, p, width)
     return _dense_weights(n, p, first, window)
 
 
@@ -412,27 +403,23 @@ def thd_quantile(x: SampleLike, p: float, width: Optional[float] = None) -> floa
     x = as_sample(x)
     _require_nonempty(x)
     if width is None:
-        width = 1.0 / math.sqrt(x.n)
-    w = thd_weights(x.n, p, width)
-    return _weighted_sum(w, x)
+        width = THD_SQRT.resolve_width(x.n)
+    return _estimate(thd_weights(x.n, p, width), x)
 
 
 def median(x: SampleLike, kind: MedianEstimator = SM) -> float:
-    """Median estimate using the chosen estimator."""
+    """Median estimate: the clamped sum of ``median_weights(n, kind)`` times sorted x."""
     x = as_sample(x)
     _require_nonempty(x)
-    if kind.kind == "sm":
-        return hf7_quantile(x, 0.5)
-    if kind.kind == "hd":
-        return hd_quantile(x, 0.5)
-    return thd_quantile(x, 0.5, kind.resolve_width(x.n))
+    return _estimate(median_weights(x.n, kind), x)
 
 
 def median_weights(n: int, kind: MedianEstimator = SM) -> np.ndarray:
-    """Weight vector w such that median(x, kind) == dot(w, sorted(x)).
+    """Weight vector w of ``median(x, kind)``: sum(w * sorted(x)), clamped.
 
     Every estimator's median is a fixed weighted sum of order statistics;
-    this is what the batch simulation kernel consumes.  HD and THD weights
+    this is what the batch simulation kernel consumes, and the one place
+    that tells the estimators apart.  HD and THD weights
     come from the bounded window cache of ``hd_weights``/``thd_weights``:
     HD drops weights below 2**-64 and evaluates the Beta CDF at O(sqrt(n))
     points.
@@ -441,11 +428,7 @@ def median_weights(n: int, kind: MedianEstimator = SM) -> np.ndarray:
         raise SampleError(f"need n >= 1, got {n}")
     if kind.kind == "sm":
         w = np.zeros(n)
-        mid = n // 2
-        if n % 2:
-            w[mid] = 1.0
-        else:
-            w[mid - 1] = w[mid] = 0.5
+        w[(n - 1) // 2 : n // 2 + 1] = 1.0 if n % 2 else 0.5  # the middle one or two
         w.flags.writeable = False
         return w
     if kind.kind == "hd":

@@ -26,7 +26,14 @@ import numpy as np
 from madkit._kernel import mad0_batch, release_thread_scratch, thread_scratch
 from madkit.distributions import DistributionSpec, RngStream, derive_stream_id
 from madkit.errors import ConfigError, InternalCheckError
-from madkit.mad import DEFAULT_MODEL, correction_factor, factor_table, mad_corrected
+from madkit.mad import (
+    _Q75,
+    DEFAULT_MODEL,
+    _fitted_form,
+    correction_factor,
+    factor_table,
+    mad_corrected,
+)
 from madkit.quantiles import (
     HD,
     SM,
@@ -36,7 +43,6 @@ from madkit.quantiles import (
     hf7_quantile,
     median_weights,
 )
-from madkit.specfun import normal_quantile
 
 __all__ = [
     "SimulationConfig",
@@ -185,8 +191,7 @@ class FitResult(NamedTuple):
         return _csv("estimator,alpha,beta,residual_max,n_low,n_high", [self])
 
     def predict(self, n: int) -> float:
-        q75 = normal_quantile(0.75)
-        return 1.0 / (q75 * (1.0 + self.alpha / n + self.beta / (n * n)))
+        return _fitted_form(n, self.alpha, self.beta)
 
 
 def _chunks(repetitions: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -401,12 +406,11 @@ def fit_prediction(
             f"need at least 3 tabulated sizes in ({low}, {high}], found {ns.size}"
         )
     c = np.array([factors[int(n)] for n in ns])
-    q75 = normal_quantile(0.75)
-    a_n = 1.0 / (c * q75) - 1.0
+    a_n = 1.0 / (c * _Q75) - 1.0
     design = np.column_stack([1.0 / ns, 1.0 / (ns * ns)])
     coef, *_ = np.linalg.lstsq(design, a_n, rcond=None)
     alpha, beta = float(coef[0]), float(coef[1])
-    predicted = 1.0 / (q75 * (1.0 + design @ coef))
+    predicted = 1.0 / (_Q75 * (1.0 + design @ coef))
     residual_max = float(np.max(np.abs(predicted - c)))
     return FitResult(estimator, alpha, beta, residual_max, float(low), float(high))
 

@@ -99,6 +99,13 @@ class TestMadCommand:
         assert (code, out) == (2, "")
         assert "deviations from the median overflow float64" in err
 
+    @pytest.mark.parametrize("est", ["sm", "hd", "thd-sqrt"])
+    def test_overflowing_corrected_mad_exit_2(self, est, capsys, monkeypatch):
+        argv = ["mad", "-", "--estimator", est, "--csv"]
+        code, out, err = run_cli(argv, capsys, "-1.7e308 1.7e308\n", monkeypatch)
+        assert (code, out) == (2, "")
+        assert "corrected MAD overflows float64" in err
+
     @pytest.mark.parametrize(
         "n,model,source",
         [(2, "default", "exact"), (100, "default", "table"), (101, "default", "fitted"),

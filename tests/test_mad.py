@@ -71,6 +71,14 @@ class TestMadUncorrected:
         with pytest.raises(DomainError, match="overflow float64"):
             mad_corrected(data, kind)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+    def test_overflowing_corrected_mad_rejected(self, kind):
+        # The raw MAD, 1.7e308, is finite; C_2 = sqrt(pi) times it is not.
+        data = [-1.7e308, 1.7e308]
+        assert mad_uncorrected(data, kind) == 1.7e308
+        with pytest.raises(DomainError, match="corrected MAD overflows float64"):
+            mad_corrected(data, kind)
+
     def test_input_order_and_type_irrelevant(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(101)
