@@ -51,10 +51,11 @@ calls, grown when a call needs more and never shrunk.  A study calls the
 kernel once per chunk; blocks of a few MB allocated per call are returned
 to the OS when the call ends (glibc maps them), and the next call faults
 the same pages in again.  The returned array is always a fresh
-allocation, never a view of the scratch.  The studies' worker threads
-live for one cell, so their scratch goes with them, and a study run on the
-calling thread releases that thread's scratch when the cell ends, as a
-one-row ``mad.mad_uncorrected`` call does when it returns.
+allocation, never a view of the scratch.  A study's worker threads live
+for the whole study, so each keeps its scratch from one cell to the next
+and takes it with it when the study ends; the calling thread releases its
+own scratch when the study ends, as a one-row ``mad.mad_uncorrected`` call
+does when it returns.
 """
 from __future__ import annotations
 

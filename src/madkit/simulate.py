@@ -13,19 +13,27 @@ starts with its study's tag:
 
 where an index is the position in the configured tuple.  Worker-thread
 count therefore never affects the output, only the wall time.
+
+A study runs all its cells through one pool of worker threads that lives
+for the whole study.  The chunks of every cell are fed to it in report
+order, a few ahead of the one the calling thread waits for, so the
+workers compute the next cell while the calling thread reduces the last
+one into its report rows.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from madkit._kernel import mad0_batch, release_thread_scratch, thread_scratch
 from madkit.distributions import DistributionSpec, RngStream, derive_stream_id
-from madkit.errors import ConfigError, InternalCheckError
+from madkit.errors import ConfigError, DomainError, InternalCheckError
 from madkit.mad import (
     _Q75,
     DEFAULT_MODEL,
@@ -194,23 +202,30 @@ class FitResult(NamedTuple):
         return _fitted_form(n, self.alpha, self.beta)
 
 
-def _chunks(repetitions: int, chunk_size: int) -> list[tuple[int, int]]:
-    out = []
-    done = 0
-    index = 0
-    while done < repetitions:
-        count = min(chunk_size, repetitions - done)
-        out.append((index, count))
-        done += count
-        index += 1
-    return out
+def _map_ordered(fn: Callable, items: Iterable, threads: int) -> Iterator:
+    """``fn(item)`` for each of ``items``, yielded lazily and in order.
 
-
-def _map_ordered(fn: Callable, items: Sequence, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))
+    With ``threads`` > 1, one pool of ``threads`` workers runs the calls,
+    with at most ``2 * threads`` of them submitted and not yet yielded, so
+    ``items`` is read only that far ahead and the workers run on while the
+    caller handles a result.  A call that raises, or closing the generator,
+    cancels the calls not yet started; the pool's threads have ended when
+    it returns or raises.
+    """
+    if threads <= 1:
+        yield from map(fn, items)
+        return
+    items = iter(items)
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        pending = deque(pool.submit(fn, item) for item in islice(items, 2 * threads))
+        while pending:
+            result = pending.popleft().result()
+            for item in islice(items, 1):
+                pending.append(pool.submit(fn, item))
+            yield result
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _moments(m: np.ndarray) -> tuple[float, float]:
@@ -245,36 +260,54 @@ def _normal_matrix(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarr
 
 
 def _spec_draw(dist: DistributionSpec) -> Callable:
-    """``dist``'s draw for ``_chunk_parts``, into the thread's sample buffer."""
+    """``dist``'s draw for ``_run_cells``, into the thread's sample buffer."""
     return lambda rng, shape: dist.draw(rng, shape, out=_sample_buffer(shape))
 
 
-def _chunk_parts(config: SimulationConfig, key: tuple[int, ...], draw: Callable,
-                 weights: np.ndarray, reduce: Callable, threads: int) -> list:
-    """``reduce(mad0_batch(samples, weights))`` for each chunk, in chunk order.
+def _run_cells(config: SimulationConfig, tag: int, cells: Sequence[tuple[int, ...]],
+               prepare: Callable, aggregate: Callable, threads: int) -> list:
+    """``aggregate(cell, parts)`` for each cell of a study, in order.
 
-    Chunk i draws its ``(count, n)`` samples with ``draw(rng, shape)`` from
-    the stream keyed by ``(*key, i)``; ``weights`` is one ``n``-vector or a
-    ``(k, n)`` stack.  The samples are a view of the thread's scratch
-    (``_sample_buffer``), so nothing keeps them past the chunk.
+    ``prepare(cell)`` gives the cell's ``(draw, weights, reduce)``: chunk i
+    draws its ``(count, n)`` samples with ``draw(rng, shape)`` from the
+    stream keyed by ``(tag, *cell, i)``, and its part is ``reduce(
+    mad0_batch(samples, weights))``; ``weights`` is one ``n``-vector or a
+    ``(k, n)`` stack.  ``parts`` are the cell's parts in chunk order.
+
+    Every chunk of every cell goes through one ``_map_ordered`` call, fed
+    lazily in report order, so the workers compute the next cell's chunks
+    while this thread aggregates the last one.  The samples are a view of
+    the worker's scratch (``_sample_buffer``), so nothing keeps them past
+    the chunk.  A chunk's floating-point overflow is left to the study's
+    checks on its parts and rows, not reported as a NumPy warning.
     """
-    n = weights.shape[-1]
+    reps, size = config.repetitions, config.chunk_size
+    per_cell = -(-reps // size)
 
-    def chunk_part(chunk):
-        index, count = chunk
+    def chunk_part(item):
+        key, draw, weights, reduce, index = item
         stream = RngStream(config.master_seed, derive_stream_id(*key, index))
         # The generator is freed before the kernel runs.  Freeing the
         # samples before the reduction instead of after it measures the
         # same (page faults of a two-thread factors run, calibrate and
         # sensitivity cycle_s), since the kernel's buffers and the draws
         # live in thread scratch.
-        samples = draw(stream.generator(), (count, n))
-        return reduce(mad0_batch(samples, weights))
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = draw(stream.generator(), (min(size, reps - index * size), weights.shape[-1]))
+            return reduce(mad0_batch(samples, weights))
 
+    def items():
+        for cell in cells:
+            job = ((tag, *cell), *prepare(cell))
+            for index in range(per_cell):
+                yield (*job, index)
+
+    parts = _map_ordered(chunk_part, items(), min(threads, len(cells) * per_cell))
     try:
-        return _map_ordered(chunk_part, _chunks(config.repetitions, config.chunk_size), threads)
+        return [aggregate(cell, [next(parts) for _ in range(per_cell)]) for cell in cells]
     finally:
-        release_thread_scratch()  # the calling thread's; pool threads' end with them
+        parts.close()  # on an error, cancels the chunks not yet started
+        release_thread_scratch()  # the calling thread's; the workers' end with them
 
 
 def estimate_factors(config: SimulationConfig, threads: int = 1) -> FactorReport:
@@ -284,16 +317,22 @@ def estimate_factors(config: SimulationConfig, threads: int = 1) -> FactorReport
     the reported std_error is the delta-method propagation of the standard
     error of the mean through the inversion.
     """
-    rows = []
-    for n in config.sample_sizes:
-        for est_index, est in enumerate(config.estimators):
-            parts = _chunk_parts(config, (_TAG_FACTORS, n, est_index), _normal_matrix,
-                                 median_weights(n, est), _moments, threads)
-            reps = config.repetitions
-            m_n, variance = _mean_variance(parts, reps)
-            se_m = math.sqrt(variance / reps)
-            c_n = 1.0 / m_n
-            rows.append(FactorRow(n, est.label, m_n, c_n, se_m / (m_n * m_n), reps))
+    reps = config.repetitions
+
+    def prepare(cell):
+        n, est_index = cell
+        return _normal_matrix, median_weights(n, config.estimators[est_index]), _moments
+
+    def aggregate(cell, parts):
+        n, est_index = cell
+        m_n, variance = _mean_variance(parts, reps)
+        se_m = math.sqrt(variance / reps)
+        c_n = 1.0 / m_n
+        return FactorRow(n, config.estimators[est_index].label, m_n, c_n, se_m / (m_n * m_n), reps)
+
+    cells = [(n, est_index) for n in config.sample_sizes
+             for est_index in range(len(config.estimators))]
+    rows = _run_cells(config, _TAG_FACTORS, cells, prepare, aggregate, threads)
     report = FactorReport(tuple(rows), config)
     _check_factor_report(report)
     return report
@@ -317,21 +356,22 @@ def efficiency(config: SimulationConfig, threads: int = 1) -> EfficiencyReport:
     """
     if config.estimators != (SM, HD, THD_SQRT):
         raise ConfigError("efficiency compares sm, hd and thd-sqrt and takes no estimator list")
-    rows = []
-    for n in config.sample_sizes:
+
+    def prepare(cell):
+        n, = cell
         weights = np.stack([median_weights(n, est) for est in config.estimators])
         factors = [correction_factor(n, est) for est in config.estimators]
-        parts = _chunk_parts(
-            config, (_TAG_EFFICIENCY, n), _normal_matrix, weights,
-            lambda mads: [_moments(m * f) for m, f in zip(mads, factors)],
-            threads,
-        )
+        return (_normal_matrix, weights,
+                lambda mads: [_moments(m * f) for m, f in zip(mads, factors)])
+
+    def aggregate(cell, parts):
         var_sm, var_hd, var_thd = (
             _mean_variance(moments, config.repetitions)[1] for moments in zip(*parts)
         )
-        rows.append(
-            EfficiencyRow(n, var_sm, var_hd, var_thd, var_sm / var_hd, var_sm / var_thd)
-        )
+        return EfficiencyRow(cell[0], var_sm, var_hd, var_thd, var_sm / var_hd, var_sm / var_thd)
+
+    cells = [(n,) for n in config.sample_sizes]
+    rows = _run_cells(config, _TAG_EFFICIENCY, cells, prepare, aggregate, threads)
     report = EfficiencyReport(tuple(rows), config)
     for row in report.rows:
         if not all(math.isfinite(v) and v > 0.0 for v in row[1:]):
@@ -362,25 +402,45 @@ def sensitivity(config: SimulationConfig, threads: int = 1) -> SensitivityReport
     """
     if not config.distributions:
         raise ConfigError("sensitivity requires at least one distribution")
-    rows = []
-    for dist_index, dist in enumerate(config.distributions):
-        for n in config.sample_sizes:
-            weights = np.stack([median_weights(n, est) for est in config.estimators])
-            factors = [correction_factor(n, est) for est in config.estimators]
-            parts = _chunk_parts(
-                config, (_TAG_SENSITIVITY, dist_index, n), _spec_draw(dist), weights,
-                lambda mads: [m * f for m, f in zip(mads, factors)],
-                threads,
-            )
-            for est_index, est in enumerate(config.estimators):
-                estimates = np.concatenate([p[est_index] for p in parts])
-                for agg in _AGGREGATORS:
+
+    def prepare(cell):
+        dist_index, n = cell
+        dist = config.distributions[dist_index]
+        weights = np.stack([median_weights(n, est) for est in config.estimators])
+        factors = [correction_factor(n, est) for est in config.estimators]
+
+        def reduce(mads):
+            estimates = [m * f for m, f in zip(mads, factors)]
+            if not all(np.isfinite(e).all() for e in estimates):
+                raise DomainError(f"{dist} at n={n}: the corrected MADs are not finite "
+                                  "in float64; rescale the distribution")
+            return estimates
+
+        return _spec_draw(dist), weights, reduce
+
+    def aggregate(cell, parts):
+        dist_index, n = cell
+        dist = config.distributions[dist_index]
+        rows = []
+        for est_index, est in enumerate(config.estimators):
+            estimates = np.concatenate([p[est_index] for p in parts])
+            for agg in _AGGREGATORS:
+                with np.errstate(over="ignore", invalid="ignore"):
                     value = _aggregate(agg, estimates)
-                    if not (math.isfinite(value) and value >= 0.0):
-                        raise InternalCheckError(
-                            f"bad dispersion for {dist} n={n} {est.label} {agg}: {value}"
-                        )
-                    rows.append(SensitivityRow(str(dist), n, est.label, agg, value))
+                if value == math.inf:
+                    raise DomainError(f"{dist} at n={n}: the {agg} of the {est.label} "
+                                      "estimates overflows float64; rescale the distribution")
+                if not (math.isfinite(value) and value >= 0.0):
+                    raise InternalCheckError(
+                        f"bad dispersion for {dist} n={n} {est.label} {agg}: {value}"
+                    )
+                rows.append(SensitivityRow(str(dist), n, est.label, agg, value))
+        return rows
+
+    cells = [(dist_index, n) for dist_index in range(len(config.distributions))
+             for n in config.sample_sizes]
+    cell_rows = _run_cells(config, _TAG_SENSITIVITY, cells, prepare, aggregate, threads)
+    rows = [row for rows in cell_rows for row in rows]
     return SensitivityReport(tuple(rows), config)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import madkit
 from madkit.cli import main
-from madkit.distributions import DEFAULT_SENSITIVITY_SET
+from madkit.distributions import DEFAULT_SENSITIVITY_SET, parse_spec
 
 
 def run_cli(argv, capsys, stdin=None, monkeypatch=None):
@@ -387,6 +387,24 @@ class TestSensitivityCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["sensitivity", "--n", "5", "--reps", "200", "--dist", "wat(x=1)"])
         assert excinfo.value.code == 2
+
+    # Valid specs whose draws, deviations or spread overflow float64: a
+    # domain error naming the spec and n, with no NumPy warning (a warning
+    # is an error here, on the pool threads too).
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("spec,message", [
+        ("pareto(loc=1,shape=0.01)", "the corrected MADs are not finite"),
+        ("uniform(a=-1.7e308,b=1.7e308)", "the corrected MADs are not finite"),
+        ("uniform(a=0,b=1.7e308)", "the sd of the sm estimates overflows float64"),
+    ])
+    def test_overflowing_spec_exits_2(self, spec, message, threads, capsys):
+        argv = ["sensitivity", "--n", "5", "--reps", "200", "--seed", "1", "--dist", spec,
+                "--threads", threads]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"madkit: {parse_spec(spec)} at n=5: {message}")
+        assert err.count("\n") == 1
 
 
 class TestFitCommand:

@@ -233,9 +233,10 @@ def _reference_draw(spec: DistributionSpec, rng, size):
     raise AssertionError(family)
 
 
-# Every family at least once, the triangular mode at both ends.
+# Every family at least once, the triangular mode at both ends and near one.
 DRAW_SPECS = tuple(DEFAULT_SENSITIVITY_SET) + tuple(parse_spec(t) for t in (
     "constant(value=-2.5)", "triangular(a=-1,b=5,c=-1)", "triangular(a=-1,b=5,c=5)",
+    "triangular(a=-3.5,b=1e3,c=7)",
     "beta(a=0.5,b=0.3)", "student(df=1)", "exp(rate=3)", "uniform(a=-3,b=-2)",
 ))
 

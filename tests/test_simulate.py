@@ -1,12 +1,15 @@
 """Simulation harness: determinism, report contracts, and statistical
 agreement with the built-in tables at reduced scale (the acceptance suite
 runs the full-scale versions)."""
+import itertools
 import math
+import threading
 import time
 
 import numpy as np
 import pytest
 
+import madkit.simulate as simulate
 from madkit._kernel import mad0_batch
 from madkit.distributions import RngStream, derive_stream_id, parse_spec
 from madkit.errors import ConfigError
@@ -358,6 +361,14 @@ class TestStreamContract:
         estimate_factors(make_config(sample_sizes=(3,), repetitions=200), threads=1)
         assert vars(_kernel._scratch) == {}
 
+    def test_threaded_study_leaves_no_scratch_on_calling_thread(self):
+        from madkit import _kernel
+
+        _normal_matrix(RngStream(8, 1).generator(), (300, 5))
+        estimate_factors(make_config(sample_sizes=(3, 5), repetitions=200, chunk_size=100),
+                         threads=2)
+        assert vars(_kernel._scratch) == {}
+
 
 class TestNoBlasThreads:
     """A single-threaded call keeps to one CPU.
@@ -397,9 +408,10 @@ class TestNoBlasThreads:
 
 
 class TestWorkerCount:
-    def test_pool_capped_at_chunk_count(self, monkeypatch):
-        import madkit.simulate as simulate
+    """One pool per study, fed every cell's chunks in report order."""
 
+    @pytest.fixture
+    def pools(self, monkeypatch):
         asked = []
         real = simulate.ThreadPoolExecutor
 
@@ -408,6 +420,77 @@ class TestWorkerCount:
             return real(max_workers=max_workers)
 
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording)
+        return asked
+
+    def test_pool_capped_at_chunk_count(self, pools):
         estimate_factors(make_config(sample_sizes=(3,), repetitions=200, chunk_size=100,
                                      estimators=(SM,)), threads=64)
-        assert asked == [2]
+        assert pools == [2]
+
+    def test_one_pool_for_every_cell(self, pools):
+        cfg = make_config(sample_sizes=(3, 5), repetitions=300, chunk_size=100)
+        report = estimate_factors(cfg, threads=2)
+        assert pools == [2]
+        assert report.rows == estimate_factors(cfg, threads=1).rows
+        assert pools == [2]  # one thread runs inline
+
+    def test_reads_items_only_a_window_ahead(self):
+        fed = []
+
+        def items():
+            for i in itertools.count():
+                fed.append(i)
+                yield i
+
+        results = simulate._map_ordered(lambda i: i * i, items(), 2)
+        try:
+            assert [next(results) for _ in range(5)] == [0, 1, 4, 9, 16]
+            assert len(fed) <= 5 + 2 * 2
+        finally:
+            results.close()
+
+    @pytest.mark.parametrize("where", ["chunk", "aggregation"])
+    def test_failure_in_cell_two_stops_the_pool(self, where, monkeypatch):
+        # Three cells of ten chunks each; cell two fails in its first chunk
+        # or in its aggregation.
+        started, workers = [], set()
+        lock = threading.Lock()
+        draw = simulate._normal_matrix
+
+        def recording_draw(rng, shape):
+            with lock:
+                started.append(shape[1])
+                workers.add(threading.current_thread())
+            if where == "chunk" and shape[1] == 5:
+                raise RuntimeError("chunk failed")
+            return draw(rng, shape)
+
+        moments = simulate._mean_variance
+        calls = []
+
+        def failing_moments(parts, reps):
+            calls.append(len(parts))
+            if where == "aggregation" and len(calls) == 2:
+                raise RuntimeError("aggregation failed")
+            return moments(parts, reps)
+
+        monkeypatch.setattr(simulate, "_normal_matrix", recording_draw)
+        monkeypatch.setattr(simulate, "_mean_variance", failing_moments)
+        cfg = make_config(sample_sizes=(3, 5, 7), repetitions=1000, chunk_size=100,
+                          estimators=(SM,))
+        with pytest.raises(RuntimeError, match=f"{where} failed"):
+            estimate_factors(cfg, threads=2)
+        # Chunks whose results were read before the failure, plus the window.
+        consumed = 10 if where == "chunk" else 20
+        assert started.count(3) == 10
+        assert len(started) <= consumed + 2 * 2 < 30
+        assert workers and not any(t.is_alive() for t in workers)
+        assert threading.current_thread() not in workers
+
+    def test_sensitivity_csv_same_at_any_thread_count(self):
+        dists = tuple(parse_spec(t) for t in ("normal()", "cauchy()", "triangular(a=0,b=2,c=0.2)"))
+        cfg = make_config(sample_sizes=(4, 30), repetitions=500, chunk_size=128,
+                          distributions=dists)
+        one, two, three = (sensitivity(cfg, threads=t).to_csv() for t in (1, 2, 3))
+        assert one == two == three
+        assert len(one.splitlines()) == 1 + 3 * 2 * 3 * 3
