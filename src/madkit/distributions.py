@@ -100,18 +100,21 @@ def _draw_triangular(rng, out, p):
     # expression in order, and the upper one is copied over the lower one
     # where ``u >= fc``: on a half-and-half mask this is faster than six
     # masked ufuncs, and every value has the bits the masked form gave it.
+    # An invalid inf * 0 arises only where b - a overflows and c is at an
+    # end, in the branch that no value takes.
     a, b, c = p["a"], p["b"], p["c"]
     u = _open_uniform(rng, out)
     upper = u >= (c - a) / (b - a)
-    hi = np.subtract(1.0, u)
-    hi *= b - a
-    hi *= b - c
-    np.sqrt(hi, out=hi)
-    np.subtract(b, hi, out=hi)
-    u *= b - a
-    u *= c - a
-    np.sqrt(u, out=u)
-    np.add(a, u, out=u)
+    with np.errstate(invalid="ignore"):
+        hi = np.subtract(1.0, u)
+        hi *= b - a
+        hi *= b - c
+        np.sqrt(hi, out=hi)
+        np.subtract(b, hi, out=hi)
+        u *= b - a
+        u *= c - a
+        np.sqrt(u, out=u)
+        np.add(a, u, out=u)
     np.copyto(u, hi, where=upper)
     return u
 

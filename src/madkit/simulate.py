@@ -282,7 +282,7 @@ def _run_cells(config: SimulationConfig, tag: int, cells: Sequence[tuple[int, ..
     checks on its parts and rows, not reported as a NumPy warning.
     """
     reps, size = config.repetitions, config.chunk_size
-    per_cell = -(-reps // size)
+    per_cell = (reps + size - 1) // size
 
     def chunk_part(item):
         key, draw, weights, reduce, index = item

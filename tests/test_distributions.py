@@ -258,6 +258,15 @@ class TestDrawInto:
             assert values.shape == shape
             assert np.array_equal(values.view(np.uint64), expected.view(np.uint64)), spec
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("c", [-1e308, 1e308])
+    def test_triangular_branch_not_taken_is_silent(self, c):
+        # b - a overflows, so the branch with the zero factor is inf * 0;
+        # no value takes it, and it must raise no warning.
+        spec = DistributionSpec.make("triangular", a=-1e308, b=1e308, c=c)
+        got = spec.draw(RngStream(4).generator(), (50,))
+        assert np.all(got == (-np.inf if c == -1e308 else np.inf))
+
     def test_view_of_a_larger_buffer(self):
         spec = parse_spec("lognormal(sdlog=2)")
         buffer = np.zeros(1000)
