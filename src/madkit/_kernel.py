@@ -12,10 +12,14 @@ in ``madkit.quantiles`` (``median``, ``hd_quantile``, ``thd_quantile``,
 one-row ``mad.mad_uncorrected`` call is, so the studies, ``madkit mad``
 and the public estimators move together when the sum changes.
 
-The weighted sums are ``np.einsum`` (default ``optimize=False``), not
-``@``: einsum runs NumPy's own loop and never calls BLAS.  OpenBLAS
-threads its matrix-vector product on wide rows, and its idle workers
-spin-wait on the CPUs the study's pool threads need.
+Weighted sums.  A row of up to ``_NARROW_SUM_MAX_WIDTH`` = 12 values
+sums left to right, ``((w0*x0 + w1*x1) + w2*x2) + ...``, one column of
+the block at a time: each term and each partial sum is rounded as in a
+plain loop over the row, so the bits do not depend on how a library
+groups the terms.  Wider rows take ``np.einsum`` (default
+``optimize=False``), not ``@``: einsum runs NumPy's own loop and never
+calls BLAS.  OpenBLAS threads its matrix-vector product on wide rows,
+and its idle workers spin-wait on the CPUs the study's pool threads need.
 
 Sorting.  ``np.sort(axis=1)`` pays a per-row call into its sort loop, which
 dominates on rows of a few values.  Rows of 2 to ``_NETWORK_MAX_WIDTH``
@@ -35,9 +39,9 @@ and ``np.maximum`` propagate NaN, and every wire of a sorting network
 has a path to its first output (the row's minimum can start anywhere), so
 a row holding NaN shows NaN there; such rows are re-sorted by ``np.sort``,
 which puts NaN last.  Everything after the sort is the same elementwise
-arithmetic and the same einsum per row as before, so every MAD is
-bit-for-bit the value of sorting with ``np.sort`` (the sign of a zero
-median does not reach ``|x - med|``).
+arithmetic and the same weighted sum per row whichever sort ran, so
+every MAD is bit-for-bit the value of sorting with ``np.sort`` (the sign
+of a zero median does not reach ``|x - med|``).
 
 Blocks.  ``mad0_batch`` walks the rows in blocks of about
 ``_BLOCK_VALUES`` values, so a block's sort, deviations and second sort
@@ -72,6 +76,13 @@ __all__ = ["mad0_batch"]
 # n = 7, level at n = 8 and 9, and 3-6 % behind at n = 10 (32 comparators)
 # and 14-21 % behind at n = 11 and 12.
 _NETWORK_MAX_WIDTH = 9
+
+# Widest row summed left to right by ``_weighted_median``; wider rows keep
+# einsum's sum.  Up to here the column loop costs about what einsum does:
+# mad0_batch with three stacked weight vectors on 131k rows took 0.7x
+# einsum's time at n = 2, 0.8-0.9x at n = 3 and 0.9-1.2x at n = 5 to 12
+# (best of 5, four runs, 2-vCPU AVX-512 Xeon).
+_NARROW_SUM_MAX_WIDTH = 12
 
 # Values per block of rows: 1 MiB of float64 per block.  Smaller blocks
 # fit the caches better but make more, shorter NumPy calls, which two study
@@ -179,11 +190,22 @@ def _sort_rows(a: np.ndarray, out: np.ndarray | None = None,
 
 
 def _weighted_median(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum(weights * row) per sorted row of ``rows``, clamped to [row[0], row[-1]]."""
+    """sum(weights * row) per sorted row of ``rows``, clamped to [row[0], row[-1]].
+
+    Rows of up to ``_NARROW_SUM_MAX_WIDTH`` values sum left to right,
+    ``((w0*x0 + w1*x1) + w2*x2) + ...``; wider rows take einsum's sum.
+    """
+    if rows.shape[1] <= _NARROW_SUM_MAX_WIDTH:
+        w = weights.tolist()
+        med = rows[:, 0] * w[0]
+        term = np.empty_like(med)
+        for j in range(1, len(w)):
+            med += np.multiply(rows[:, j], w[j], out=term)
+    else:
+        med = np.einsum("ij,j->i", rows, weights)
     # Non-negative weights summing to 1 put the exact sum inside the row's
     # range; rounding can step past it, and a constant row must have a MAD
     # of exactly 0.
-    med = np.einsum("ij,j->i", rows, weights)
     return np.clip(med, rows[:, 0], rows[:, -1], out=med)
 
 

@@ -31,6 +31,7 @@ from madkit.mad import MODEL_CHOICES, factor_table, mad_corrected
 from madkit.quantiles import THD_SQRT, parse_estimator
 from madkit.simulate import (
     _FLOAT_FMT,
+    _STREAMS,
     SimulationConfig,
     efficiency,
     estimate_factors,
@@ -198,14 +199,15 @@ def _write_report(body: str, out_path, provenance: str) -> None:
 
 
 def _provenance(config: SimulationConfig) -> str:
-    # The fields that fix the CSV body; numpy's version is recorded because
-    # the Philox draws and their transforms come from it.
+    # The fields that fix the CSV body; ``streams`` names the stream-key
+    # scheme, and numpy's version is recorded because the Philox draws and
+    # their transforms come from it.
     dists = ""
     if config.distributions:
         dists = f" dists={','.join(map(str, config.distributions))}"
     return (
         f"# seed={config.master_seed} reps={config.repetitions} "
-        f"version={madkit.__version__} chunk_size={config.chunk_size} "
+        f"version={madkit.__version__} chunk_size={config.chunk_size} streams={_STREAMS} "
         f"n={','.join(map(str, config.sample_sizes))} "
         f"estimators={','.join(est.label for est in config.estimators)}"
         f"{dists} numpy={np.__version__}\n"

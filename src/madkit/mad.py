@@ -16,6 +16,7 @@ sample-median MAD only.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,6 @@ from madkit.quantiles import (
     finite_values,
     median_weights,
 )
-from madkit.specfun import normal_quantile
 
 __all__ = [
     "MadValue",
@@ -53,7 +53,7 @@ __all__ = [
     "factor_table_csv_path",
 ]
 
-_Q75 = normal_quantile(0.75)
+_Q75 = statistics.NormalDist().inv_cdf(0.75)  # correctly rounded
 
 _TABLES = {
     "sm": tables.SM_FACTORS,

@@ -1,18 +1,23 @@
 """Monte-Carlo studies: factor estimation, efficiency, outlier sensitivity,
 and the least-squares fit of the large-n prediction equation.
 
-Every study is deterministic given its configuration.  Repetitions are
-split into chunks of ``chunk_size``; chunk i of a cell draws its samples
-from the Philox stream ``RngStream(master_seed, derive_stream_id(*key,
-i))``, and partial results are reduced in chunk order.  A cell's key
-starts with its study's tag:
+Every study is deterministic given its configuration.  A cell is one
+sample size, or for sensitivity one (distribution, sample size).  Its
+repetitions are split into chunks of ``chunk_size``; chunk i draws the
+cell's samples once, from the Philox stream ``RngStream(master_seed,
+derive_stream_id(*key, i))``, runs every estimator on them through one
+``(k, n)`` stack of median weights, and the partial results are reduced
+in chunk order.  A cell's key starts with its study's tag:
 
-* factors: ``(1, n, estimator index)``
-* efficiency: ``(2, n)``, one draw for sm, hd and thd-sqrt
-* sensitivity: ``(3, distribution index, n)``, one draw for all estimators
+* factors: ``(1, n)``
+* efficiency: ``(2, n)``
+* sensitivity: ``(3, spec key, n)``, where the spec key is
+  ``_spec_key(distribution)``, a hash of the family and its parameters
 
-where an index is the position in the configured tuple.  Worker-thread
-count therefore never affects the output, only the wall time.
+A key holds only what the cell computes, never a position in the
+configured tuples, so a row does not depend on which other estimators,
+distributions or sizes share the run or in what order they are listed.
+The worker-thread count affects only the wall time.
 
 A study runs all its cells through one pool of worker threads that lives
 for the whole study.  The chunks of every cell are fed to it in report
@@ -22,6 +27,7 @@ one into its report rows.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -76,6 +82,22 @@ _TAG_FACTORS = 1
 _TAG_EFFICIENCY = 2
 _TAG_SENSITIVITY = 3
 
+# The stream-key scheme of the module docstring, recorded in the provenance
+# line: a CSV made under other keys (scheme 1 keyed cells by their position
+# in the configured tuples) has other rows for the same configuration.
+_STREAMS = 2
+
+
+def _spec_key(dist: DistributionSpec) -> int:
+    """The 64-bit stream key of a distribution, from its content alone.
+
+    The first 8 bytes of the SHA-256 of the family name and the
+    ``float.hex`` of each parameter in the family's order.  The builtin
+    ``hash`` of a string is salted per process (``PYTHONHASHSEED``).
+    """
+    text = " ".join([dist.family, *(float(value).hex() for _, value in dist.params)])
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "little")
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -83,9 +105,9 @@ class SimulationConfig:
 
     ``chunk_size`` is the repetition count per work unit and is part of the
     reproducibility contract: the same config gives bit-identical reports,
-    any thread count.  No estimator or distribution may repeat, because a
-    stream key holds its position and a repeat would draw other samples; a
-    repeated sample size would only compute the same rows twice.
+    any thread count.  No sample size, estimator or distribution may
+    repeat: its cells would draw the same samples and compute the same
+    rows twice.
     """
 
     sample_sizes: tuple[int, ...]
@@ -264,15 +286,20 @@ def _spec_draw(dist: DistributionSpec) -> Callable:
     return lambda rng, shape: dist.draw(rng, shape, out=_sample_buffer(shape))
 
 
-def _run_cells(config: SimulationConfig, tag: int, cells: Sequence[tuple[int, ...]],
-               prepare: Callable, aggregate: Callable, threads: int) -> list:
-    """``aggregate(cell, parts)`` for each cell of a study, in order.
+def _weight_stack(n: int, estimators: Sequence[MedianEstimator]) -> np.ndarray:
+    """The ``(k, n)`` median weights of ``estimators``, for one kernel call per chunk."""
+    return np.stack([median_weights(n, est) for est in estimators])
 
-    ``prepare(cell)`` gives the cell's ``(draw, weights, reduce)``: chunk i
-    draws its ``(count, n)`` samples with ``draw(rng, shape)`` from the
-    stream keyed by ``(tag, *cell, i)``, and its part is ``reduce(
-    mad0_batch(samples, weights))``; ``weights`` is one ``n``-vector or a
-    ``(k, n)`` stack.  ``parts`` are the cell's parts in chunk order.
+
+def _run_cells(config: SimulationConfig, cells: Sequence, prepare: Callable,
+               aggregate: Callable, threads: int) -> list:
+    """The report rows ``aggregate(cell, parts)`` of each cell of a study, in order.
+
+    ``prepare(cell)`` gives the cell's ``(key, draw, weights, reduce)``:
+    chunk i draws its ``(count, n)`` samples with ``draw(rng, shape)`` from
+    the stream keyed by ``(*key, i)``, and its part is ``reduce(
+    mad0_batch(samples, weights))``; ``weights`` is a ``(k, n)`` stack.
+    ``parts`` are the cell's parts in chunk order.
 
     Every chunk of every cell goes through one ``_map_ordered`` call, fed
     lazily in report order, so the workers compute the next cell's chunks
@@ -298,13 +325,14 @@ def _run_cells(config: SimulationConfig, tag: int, cells: Sequence[tuple[int, ..
 
     def items():
         for cell in cells:
-            job = ((tag, *cell), *prepare(cell))
+            job = prepare(cell)
             for index in range(per_cell):
                 yield (*job, index)
 
     parts = _map_ordered(chunk_part, items(), min(threads, len(cells) * per_cell))
     try:
-        return [aggregate(cell, [next(parts) for _ in range(per_cell)]) for cell in cells]
+        return [row for cell in cells
+                for row in aggregate(cell, [next(parts) for _ in range(per_cell)])]
     finally:
         parts.close()  # on an error, cancels the chunks not yet started
         release_thread_scratch()  # the calling thread's; the workers' end with them
@@ -313,26 +341,26 @@ def _run_cells(config: SimulationConfig, tag: int, cells: Sequence[tuple[int, ..
 def estimate_factors(config: SimulationConfig, threads: int = 1) -> FactorReport:
     """Estimate C_n = 1 / mean(raw MAD) over standard-normal samples.
 
-    The mean is accumulated per chunk and combined with exact summation;
-    the reported std_error is the delta-method propagation of the standard
-    error of the mean through the inversion.
+    Every estimator runs on the same samples.  The mean is accumulated per
+    chunk and combined with exact summation; the reported std_error is the
+    delta-method propagation of the standard error of the mean through the
+    inversion.
     """
     reps = config.repetitions
 
-    def prepare(cell):
-        n, est_index = cell
-        return _normal_matrix, median_weights(n, config.estimators[est_index]), _moments
+    def prepare(n):
+        return ((_TAG_FACTORS, n), _normal_matrix, _weight_stack(n, config.estimators),
+                lambda mads: [_moments(m) for m in mads])
 
-    def aggregate(cell, parts):
-        n, est_index = cell
-        m_n, variance = _mean_variance(parts, reps)
-        se_m = math.sqrt(variance / reps)
-        c_n = 1.0 / m_n
-        return FactorRow(n, config.estimators[est_index].label, m_n, c_n, se_m / (m_n * m_n), reps)
+    def aggregate(n, parts):
+        rows = []
+        for est, moments in zip(config.estimators, zip(*parts)):
+            m_n, variance = _mean_variance(moments, reps)
+            se_m = math.sqrt(variance / reps)
+            rows.append(FactorRow(n, est.label, m_n, 1.0 / m_n, se_m / (m_n * m_n), reps))
+        return rows
 
-    cells = [(n, est_index) for n in config.sample_sizes
-             for est_index in range(len(config.estimators))]
-    rows = _run_cells(config, _TAG_FACTORS, cells, prepare, aggregate, threads)
+    rows = _run_cells(config, config.sample_sizes, prepare, aggregate, threads)
     report = FactorReport(tuple(rows), config)
     _check_factor_report(report)
     return report
@@ -357,21 +385,18 @@ def efficiency(config: SimulationConfig, threads: int = 1) -> EfficiencyReport:
     if config.estimators != (SM, HD, THD_SQRT):
         raise ConfigError("efficiency compares sm, hd and thd-sqrt and takes no estimator list")
 
-    def prepare(cell):
-        n, = cell
-        weights = np.stack([median_weights(n, est) for est in config.estimators])
+    def prepare(n):
         factors = [correction_factor(n, est) for est in config.estimators]
-        return (_normal_matrix, weights,
+        return ((_TAG_EFFICIENCY, n), _normal_matrix, _weight_stack(n, config.estimators),
                 lambda mads: [_moments(m * f) for m, f in zip(mads, factors)])
 
-    def aggregate(cell, parts):
+    def aggregate(n, parts):
         var_sm, var_hd, var_thd = (
             _mean_variance(moments, config.repetitions)[1] for moments in zip(*parts)
         )
-        return EfficiencyRow(cell[0], var_sm, var_hd, var_thd, var_sm / var_hd, var_sm / var_thd)
+        return [EfficiencyRow(n, var_sm, var_hd, var_thd, var_sm / var_hd, var_sm / var_thd)]
 
-    cells = [(n,) for n in config.sample_sizes]
-    rows = _run_cells(config, _TAG_EFFICIENCY, cells, prepare, aggregate, threads)
+    rows = _run_cells(config, config.sample_sizes, prepare, aggregate, threads)
     report = EfficiencyReport(tuple(rows), config)
     for row in report.rows:
         if not all(math.isfinite(v) and v > 0.0 for v in row[1:]):
@@ -404,9 +429,7 @@ def sensitivity(config: SimulationConfig, threads: int = 1) -> SensitivityReport
         raise ConfigError("sensitivity requires at least one distribution")
 
     def prepare(cell):
-        dist_index, n = cell
-        dist = config.distributions[dist_index]
-        weights = np.stack([median_weights(n, est) for est in config.estimators])
+        dist, n = cell
         factors = [correction_factor(n, est) for est in config.estimators]
 
         def reduce(mads):
@@ -416,14 +439,14 @@ def sensitivity(config: SimulationConfig, threads: int = 1) -> SensitivityReport
                                   "in float64; rescale the distribution")
             return estimates
 
-        return _spec_draw(dist), weights, reduce
+        return ((_TAG_SENSITIVITY, _spec_key(dist), n), _spec_draw(dist),
+                _weight_stack(n, config.estimators), reduce)
 
     def aggregate(cell, parts):
-        dist_index, n = cell
-        dist = config.distributions[dist_index]
+        dist, n = cell
         rows = []
-        for est_index, est in enumerate(config.estimators):
-            estimates = np.concatenate([p[est_index] for p in parts])
+        for est, estimates in zip(config.estimators, zip(*parts)):
+            estimates = np.concatenate(estimates)
             for agg in _AGGREGATORS:
                 with np.errstate(over="ignore", invalid="ignore"):
                     value = _aggregate(agg, estimates)
@@ -437,10 +460,8 @@ def sensitivity(config: SimulationConfig, threads: int = 1) -> SensitivityReport
                 rows.append(SensitivityRow(str(dist), n, est.label, agg, value))
         return rows
 
-    cells = [(dist_index, n) for dist_index in range(len(config.distributions))
-             for n in config.sample_sizes]
-    cell_rows = _run_cells(config, _TAG_SENSITIVITY, cells, prepare, aggregate, threads)
-    rows = [row for rows in cell_rows for row in rows]
+    cells = [(dist, n) for dist in config.distributions for n in config.sample_sizes]
+    rows = _run_cells(config, cells, prepare, aggregate, threads)
     return SensitivityReport(tuple(rows), config)
 
 

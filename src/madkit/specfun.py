@@ -1,16 +1,16 @@
 """Special functions used by the quantile estimators.
 
-Provides the regularized incomplete beta function (the Beta CDF), the Beta
-density, and the standard normal CDF / quantile pair.  All functions are
-pure, deterministic, and accurate to roughly 1e-13 absolute over the
-parameter range the estimators need (Beta shapes up to a few thousand).
+Provides the regularized incomplete beta function (the Beta CDF) and the
+Beta density.  Both are pure, deterministic, and accurate to roughly 1e-13
+absolute over the parameter range the estimators need (Beta shapes up to
+a few thousand).
 
 ``reg_inc_beta`` takes a float or an array.  An array runs the Beta CDF's
 continued fraction (modified Lentz) over its points in lockstep, each
 point with the operations of the one-point loop in the same order, so an
 array call and float calls give the same bits.  A float is the one-point
 case of the same code.  The estimators build each weight window with one
-array call; the other functions are scalar.
+array call; ``beta_pdf`` is scalar.
 """
 from __future__ import annotations
 
@@ -25,8 +25,6 @@ __all__ = [
     "BetaParams",
     "reg_inc_beta",
     "beta_pdf",
-    "normal_cdf",
-    "normal_quantile",
 ]
 
 
@@ -45,8 +43,6 @@ class BetaParams:
 
 
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _stirlerr(x: float) -> float:
@@ -154,9 +150,9 @@ def _beta_cf(a: float, b: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_unit_interval(v: float, name: str = "v") -> None:
+def _check_unit_interval(v: float) -> None:
     if not (0.0 <= v <= 1.0):
-        raise DomainError(f"{name} must lie in [0, 1], got {v}")
+        raise DomainError(f"v must lie in [0, 1], got {v}")
 
 
 def reg_inc_beta(v, params: BetaParams):
@@ -219,70 +215,3 @@ def beta_pdf(v: float, params: BetaParams) -> float:
     return math.exp(
         (a - 1.0) * math.log(v) + (b - 1.0) * math.log1p(-v) - _log_beta(a, b)
     )
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-# Acklam's rational approximation to the normal quantile (~1.15e-9 relative),
-# refined below by one Newton step to full double precision.
-_ACK_A = (
-    -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-    1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
-)
-_ACK_B = (
-    -5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-    6.680131188771972e+01, -1.328068155288572e+01,
-)
-_ACK_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-    -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00,
-)
-_ACK_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-    3.754408661907416e+00,
-)
-_ACK_P_LOW = 0.02425
-
-
-def _acklam_lower(p: float) -> float:
-    # p in (0, 0.5]
-    if p < _ACK_P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        c, d = _ACK_C, _ACK_D
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    a, b = _ACK_A, _ACK_B
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    )
-
-
-def _quantile_lower_half(p: float) -> float:
-    # 0 < p <= 0.5, where normal_cdf(x) retains full relative precision and
-    # the Newton residual does not cancel.
-    x = _acklam_lower(p)
-    if x > -37.0:
-        err = normal_cdf(x) - p
-        x -= err * _SQRT_2PI * math.exp(0.5 * x * x)
-    return x
-
-
-def normal_quantile(p: float) -> float:
-    """Standard normal quantile (inverse CDF).
-
-    Rejects p in {0, 1}, where the result is infinite.  Antisymmetric by
-    construction: the upper half is computed as the negated quantile of
-    ``1 - p`` (exact for p >= 0.5).
-    """
-    _check_unit_interval(p, "p")
-    if p == 0.0 or p == 1.0:
-        raise DomainError(f"normal_quantile requires 0 < p < 1, got {p}")
-    if p > 0.5:
-        return -_quantile_lower_half(1.0 - p)
-    return _quantile_lower_half(p)

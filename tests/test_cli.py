@@ -250,7 +250,7 @@ class TestFactorsCommand:
         assert code == 0
         assert out.splitlines()[0] == (
             f"# seed=42 reps=100000 version={madkit.__version__} "
-            f"chunk_size=16384 n=2 estimators=sm numpy={np.__version__}"
+            f"chunk_size=16384 streams=2 n=2 estimators=sm numpy={np.__version__}"
         )
         header, row = body_of(out).strip().splitlines()
         assert header == "n,estimator,m_n,c_n,std_error,repetitions"
@@ -263,6 +263,16 @@ class TestFactorsCommand:
         _, out1, _ = run_cli(args + ["--threads", "1"], capsys)
         _, out2, _ = run_cli(args + ["--threads", "4"], capsys)
         assert body_of(out1) == body_of(out2)
+
+    @pytest.mark.parametrize("estimator", ["sm", "hd", "thd-sqrt"])
+    def test_one_estimator_gives_its_rows_of_the_full_run(self, estimator, capsys):
+        # The check CI runs on the installed console script.
+        args = ["factors", "--n", "3,5", "--reps", "20000", "--seed", "3"]
+        _, full, _ = run_cli(args, capsys)
+        _, alone, _ = run_cli(args + ["--estimators", estimator], capsys)
+        rows = [line for line in body_of(full).splitlines() if f",{estimator}," in line]
+        assert len(rows) == 2
+        assert body_of(alone).splitlines()[1:] == rows
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "factors.csv"
@@ -340,7 +350,7 @@ class TestProvenance:
         assert code == 0
         assert out.splitlines()[0] == (
             f"# seed=9 reps=200 version={madkit.__version__} "
-            f"chunk_size=64 n=3,5 estimators=sm,hd,thd-sqrt{dists} "
+            f"chunk_size=64 streams=2 n=3,5 estimators=sm,hd,thd-sqrt{dists} "
             f"numpy={np.__version__}"
         )
 

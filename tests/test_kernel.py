@@ -17,9 +17,24 @@ from madkit.quantiles import HD, SM, THD_SQRT, median_weights
 ALL_KINDS = (SM, HD, THD_SQRT)
 
 
+NARROW = 12  # widest row whose weighted sum runs left to right
+
+
+def _narrow_sum(v, w):
+    """((w0*v0 + w1*v1) + w2*v2) + ..., in Python floats."""
+    total = float(w[0]) * float(v[0])
+    for wj, vj in zip(w[1:].tolist(), v[1:].tolist()):
+        total += wj * vj
+    return total
+
+
 def _median_reference(v, w):
-    """sum(w * v) for one sorted row ``v``, clamped to [v[0], v[-1]]."""
-    return min(max(float(np.einsum("i,i->", w, v)), float(v[0])), float(v[-1]))
+    """sum(w * v) for one sorted row ``v``, clamped to [v[0], v[-1]].
+
+    Left to right in Python floats for up to 12 values, einsum above.
+    """
+    total = _narrow_sum(v, w) if v.size <= NARROW else float(np.einsum("i,i->", w, v))
+    return min(max(total, float(v[0])), float(v[-1]))
 
 
 def _mad_reference(row, kind):
@@ -52,6 +67,18 @@ def test_mad_uncorrected_is_the_composed_mad_bitwise(kind):
         for row in rows:
             got, want = mad_uncorrected(row, kind), _mad_reference(row, kind)
             assert got.hex() == want.hex(), (n, got, want)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
+def test_narrow_weighted_median_is_the_left_to_right_sum(kind):
+    rng = np.random.default_rng(13)
+    for n in range(1, NARROW + 1):
+        w = median_weights(n, kind)
+        for scale in (1.0, 1e300, 1e-300):
+            rows = np.sort(rng.standard_normal((200, n)), axis=1) * scale
+            got = _kernel._weighted_median(rows, w)
+            want = [min(max(_narrow_sum(v, w), v[0]), v[-1]) for v in rows]
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want], (n, scale)
 
 
 def test_input_not_mutated():
@@ -125,15 +152,23 @@ def _bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
 
 
+def _row_sums(rows, weights):
+    """Per-row sum(weights * row): left to right up to 12 values, einsum above."""
+    if rows.shape[1] > NARROW:
+        return np.einsum("ij,j->i", rows, weights)
+    total = rows[:, 0] * weights[0]
+    for j in range(1, rows.shape[1]):
+        total = total + rows[:, j] * weights[j]
+    return total
+
+
 def _mad0_np_sort(samples, weights):
     """The kernel as formulated on np.sort, before the networks and blocks."""
     xs = np.sort(np.asarray(samples, dtype=np.float64), axis=1)
-    med = np.einsum("ij,j->i", xs, weights)
-    med = np.clip(med, xs[:, 0], xs[:, -1], out=med)
+    med = np.clip(_row_sums(xs, weights), xs[:, 0], xs[:, -1])
     dev = np.abs(xs - med[:, None])
     dev.sort(axis=1)
-    mad = np.einsum("ij,j->i", dev, weights)
-    return np.clip(mad, dev[:, 0], dev[:, -1], out=mad)
+    return np.clip(_row_sums(dev, weights), dev[:, 0], dev[:, -1])
 
 
 @pytest.mark.parametrize("n", range(2, LIMIT + 3))
@@ -168,7 +203,7 @@ def test_sort_rows_nan_and_inf_rows():
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
 def test_bitwise_equal_to_np_sort_formulation(kind):
     rng = np.random.default_rng(22)
-    for n in (*range(2, LIMIT + 3), 30, 101):
+    for n in (*range(2, NARROW + 2), 30, 101):
         weights = median_weights(n, kind)
         block = _block_rows(n)
         for rows in (1, 7, block - 1, block, block + 1, 2 * block + 3):

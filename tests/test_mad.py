@@ -3,12 +3,14 @@ historical schemes, and scale equivariance."""
 import csv
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from madkit import factor_tables as tables
 from madkit.errors import DomainError, FactorRangeError, SampleError
 from madkit.mad import (
+    _Q75,
     DEFAULT_MODEL,
     AsymptoticFactors,
     CrouxRousseeuwFactors,
@@ -287,6 +289,15 @@ class TestAsymptoticFactor:
 
     def test_reciprocal_identity(self):
         assert asymptotic_factor() * 0.674489750196082 == pytest.approx(1.0, abs=1e-12)
+
+    def test_q75_is_correctly_rounded(self):
+        # The same double on every Python: qnorm(0.75) to 60 digits,
+        # rounded once.
+        with mpmath.workdps(60):
+            exact = float(mpmath.sqrt(2) * mpmath.erfinv(mpmath.mpf(1) / 2))
+        assert _Q75.hex() == "0x1.5956b87528a49p-1"
+        assert _Q75 == exact
+        assert asymptotic_factor() == 1.0 / exact
 
 
 class TestMadCorrected:

@@ -1,8 +1,12 @@
 """Simulation harness: determinism, report contracts, and statistical
 agreement with the built-in tables at reduced scale (the acceptance suite
 runs the full-scale versions)."""
+import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -13,6 +17,7 @@ import madkit.simulate as simulate
 from madkit._kernel import mad0_batch
 from madkit.distributions import RngStream, derive_stream_id, parse_spec
 from madkit.errors import ConfigError
+from madkit.mad import _Q75 as Q75
 from madkit.mad import correction_factor, factor_table, mad_corrected
 from madkit.quantiles import HD, SM, THD_SQRT, median_weights, thd
 from madkit.simulate import (
@@ -25,9 +30,6 @@ from madkit.simulate import (
     fit_prediction,
     sensitivity,
 )
-from madkit.specfun import normal_quantile
-
-Q75 = normal_quantile(0.75)
 
 
 def make_config(**overrides):
@@ -58,7 +60,7 @@ class TestConfig:
             make_config(chunk_size=0)
 
     def test_rejects_repeated_estimator(self):
-        # A repeat would be keyed by its position and so draw other samples.
+        # A repeat would draw the same samples and compute the same rows twice.
         with pytest.raises(ConfigError, match="estimator hd is listed more than once"):
             make_config(estimators=(HD, SM, HD))
         make_config(estimators=(THD_SQRT, thd(0.5)))  # different widths are different
@@ -290,9 +292,10 @@ class TestStreamContract:
     """Each value rebuilt chunk by chunk from the streams the module docstring names.
 
     Chunk i of a cell draws from ``RngStream(seed, derive_stream_id(*key, i))``
-    with key (1, n, estimator index) for factors and (3, distribution index,
-    n) for sensitivity.  The cells checked are not the first of their loops,
-    so every part of the key counts.
+    with key (1, n) for factors and (3, spec key, n) for sensitivity, the
+    spec key being the first 8 bytes, little-endian, of the SHA-256 of the
+    family and the ``float.hex`` of each parameter.  The cells checked are
+    not the first of their loops.
     """
 
     @staticmethod
@@ -309,7 +312,7 @@ class TestStreamContract:
         weights = median_weights(5, HD)
         sums = [
             float(np.sum(mad0_batch(rng.standard_normal((count, 5)), weights)))
-            for rng, count in zip(self.chunk_streams(21, (1, 5, 1), counts), counts)
+            for rng, count in zip(self.chunk_streams(21, (1, 5), counts), counts)
         ]
         assert row.m_n == math.fsum(sums) / 300
 
@@ -323,10 +326,12 @@ class TestStreamContract:
             if (r.distribution, r.n, r.estimator, r.aggregator)
             == ("student(df=3)", 7, "thd-sqrt", "sd")
         )
-        weights = np.stack([median_weights(7, SM), median_weights(7, THD_SQRT)])
+        spec_key = int.from_bytes(
+            hashlib.sha256(b"student 0x1.8000000000000p+1").digest()[:8], "little")
+        weights = median_weights(7, THD_SQRT)
         estimates = np.concatenate([
-            mad0_batch(dists[1].draw(rng, (count, 7)), weights)[1]
-            for rng, count in zip(self.chunk_streams(5, (3, 1, 7), counts), counts)
+            mad0_batch(dists[1].draw(rng, (count, 7)), weights)
+            for rng, count in zip(self.chunk_streams(5, (3, spec_key, 7), counts), counts)
         ]) * correction_factor(7, THD_SQRT)
         assert row.dispersion == float(np.std(estimates, ddof=1))
 
@@ -368,6 +373,77 @@ class TestStreamContract:
         estimate_factors(make_config(sample_sizes=(3, 5), repetitions=200, chunk_size=100),
                          threads=2)
         assert vars(_kernel._scratch) == {}
+
+
+class TestSubsetRuns:
+    """A row depends on its own cell only: not on which other estimators or
+    distributions share the run, nor on their order."""
+
+    DISTS = tuple(parse_spec(t) for t in (
+        "normal()", "cauchy(x0=0,gamma=1)", "triangular(a=0,b=2,c=0.2)", "student(df=3)"))
+
+    def test_one_estimator_factor_run_is_its_rows_of_the_full_run(self):
+        cfg = make_config(sample_sizes=(2, 3, 5, 10), repetitions=700, chunk_size=256)
+        full = estimate_factors(cfg).rows
+        for est in (SM, HD, THD_SQRT):
+            alone = estimate_factors(make_config(sample_sizes=(2, 3, 5, 10), repetitions=700,
+                                                 chunk_size=256, estimators=(est,))).rows
+            assert alone == tuple(r for r in full if r.estimator == est.label)
+        reordered = estimate_factors(make_config(sample_sizes=(2, 3, 5, 10), repetitions=700,
+                                                 chunk_size=256,
+                                                 estimators=(THD_SQRT, thd(0.5), SM))).rows
+        assert (sorted(r for r in reordered if r.estimator != "thd(0.5)")
+                == sorted(r for r in full if r.estimator != "hd"))
+
+    def test_n2_rows_equal_for_every_estimator(self):
+        # One draw serves every estimator, and every estimator's median of
+        # two points is their midpoint with weights (0.5, 0.5).
+        rows = estimate_factors(make_config(sample_sizes=(2, 3), repetitions=3000,
+                                            chunk_size=512)).rows
+        assert [r.estimator for r in rows[:3]] == ["sm", "hd", "thd-sqrt"]
+        assert rows[0][2:] == rows[1][2:] == rows[2][2:]
+        assert rows[3][2:] != rows[4][2:]
+
+    def sensitivity_rows(self, dists, threads=1):
+        cfg = make_config(sample_sizes=(3, 8), repetitions=300, chunk_size=128,
+                          distributions=dists)
+        return sensitivity(cfg, threads=threads).rows
+
+    def test_one_distribution_run_is_its_rows_of_the_full_run(self):
+        full = self.sensitivity_rows(self.DISTS)
+        for dist in self.DISTS:
+            alone = self.sensitivity_rows((dist,))
+            assert alone == tuple(r for r in full if r.distribution == str(dist))
+
+    def test_reordering_distributions_only_reorders_rows(self):
+        full = self.sensitivity_rows(self.DISTS)
+        order = (2, 0, 3, 1)
+        reordered = self.sensitivity_rows(tuple(self.DISTS[i] for i in order), threads=2)
+        blocks = [tuple(r for r in full if r.distribution == str(d)) for d in self.DISTS]
+        assert reordered == tuple(r for i in order for r in blocks[i])
+
+    def test_spelling_of_a_distribution_is_not_part_of_its_key(self):
+        spelled = (parse_spec("Normal(sd=1)"), parse_spec("exponential"))
+        canonical = (parse_spec("normal(m=0,sd=1)"), parse_spec("exp(rate=1)"))
+        assert self.sensitivity_rows(spelled) == self.sensitivity_rows(canonical)
+
+    def test_sensitivity_body_does_not_depend_on_the_hash_seed(self):
+        # The builtin str hash is salted per process; a key built from it
+        # would change with PYTHONHASHSEED.
+        import madkit
+
+        argv = [sys.executable, "-m", "madkit.cli", "sensitivity", "--n", "3,5",
+                "--reps", "300", "--seed", "4", "--chunk-size", "128",
+                "--dist", "normal(),pareto(loc=1,shape=2),lognormal(mlog=0,sdlog=2)"]
+        src = os.path.dirname(os.path.dirname(madkit.__file__))
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 2 + 3 * 2 * 3 * 3
 
 
 class TestNoBlasThreads:

@@ -10,8 +10,6 @@ from madkit.errors import DomainError
 from madkit.specfun import (
     BetaParams,
     beta_pdf,
-    normal_cdf,
-    normal_quantile,
     reg_inc_beta,
 )
 
@@ -20,10 +18,6 @@ mpmath.mp.dps = 40
 
 def mp_betainc(v, a, b):
     return float(mpmath.betainc(a, b, 0, v, regularized=True))
-
-
-def mp_norm_quantile(p):
-    return float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1))
 
 
 class TestBetaParams:
@@ -222,53 +216,3 @@ class TestBetaPdf:
         for v in (0.2, 0.5, 0.8):
             numeric = (reg_inc_beta(v + h, params) - reg_inc_beta(v - h, params)) / (2 * h)
             assert beta_pdf(v, params) == pytest.approx(numeric, rel=1e-6)
-
-
-class TestNormal:
-    def test_quantile_at_half_is_zero(self):
-        assert normal_quantile(0.5) == 0.0
-
-    def test_quantile_three_quarters(self):
-        assert normal_quantile(0.75) == pytest.approx(0.674489750196082, abs=1e-12)
-
-    def test_cdf_at_upper_quartile(self):
-        assert normal_cdf(0.674489750196082) == pytest.approx(0.75, abs=1e-12)
-
-    def test_reciprocal_constant(self):
-        assert 1.0 / normal_quantile(0.75) == pytest.approx(1.4826022185056, abs=1e-12)
-
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5])
-    def test_quantile_rejects_degenerate(self, p):
-        with pytest.raises(DomainError):
-            normal_quantile(p)
-
-    def test_antisymmetry(self):
-        rng = random.Random(9)
-        for _ in range(2000):
-            p = rng.uniform(1e-6, 0.5)
-            assert normal_quantile(1.0 - p) == pytest.approx(-normal_quantile(p), abs=1e-12)
-
-    def test_inverse_pair(self):
-        # Round-tripping through the CDF is exact to 1e-12 wherever the CDF
-        # value retains that much information; above x ~ 4 the CDF saturates
-        # toward 1 and the float grid near 1 (spacing ~1.1e-16) caps the
-        # recoverable accuracy at ulp(1)/pdf(x).
-        import numpy as np
-
-        for x in np.linspace(-6.0, 4.0, 801):
-            assert normal_quantile(normal_cdf(float(x))) == pytest.approx(float(x), abs=1e-12)
-        for x in np.linspace(4.0, 6.0, 101):
-            x = float(x)
-            bound = max(1e-12, 2.3e-16 / math.exp(-0.5 * x * x) * math.sqrt(2 * math.pi))
-            assert abs(normal_quantile(normal_cdf(x)) - x) <= bound
-
-    def test_quantile_accuracy_against_mpmath(self):
-        rng = random.Random(13)
-        worst = 0.0
-        for _ in range(1500):
-            if rng.random() < 0.5:
-                p = 10.0 ** rng.uniform(-15, -0.31)
-            else:
-                p = 1.0 - 10.0 ** rng.uniform(-15, -0.31)
-            worst = max(worst, abs(normal_quantile(p) - mp_norm_quantile(p)))
-        assert worst <= 1e-12
