@@ -12,54 +12,70 @@ in ``madkit.quantiles`` (``median``, ``hd_quantile``, ``thd_quantile``,
 one-row ``mad.mad_uncorrected`` call is, so the studies, ``madkit mad``
 and the public estimators move together when the sum changes.
 
-Weighted sums.  A row of up to ``_NARROW_SUM_MAX_WIDTH`` = 12 values
-sums left to right, ``((w0*x0 + w1*x1) + w2*x2) + ...``, one column of
-the block at a time: each term and each partial sum is rounded as in a
-plain loop over the row, so the bits do not depend on how a library
-groups the terms.  Wider rows take ``np.einsum`` (default
-``optimize=False``), not ``@``: einsum runs NumPy's own loop and never
-calls BLAS.  OpenBLAS threads its matrix-vector product on wide rows,
-and its idle workers spin-wait on the CPUs the study's pool threads need.
+Weighted sums.  ``_weighted_median`` takes the sorted rows by column,
+``rows.T`` of a ``(rows, n)`` array or the wire path's sorted buffer rows.
+A row of up to ``_NARROW_MAX_WIDTH`` = 12 values sums left to right,
+``((w0*x0 + w1*x1) + w2*x2) + ...``, one column at a time: each term and
+each partial sum is rounded as in a plain loop over the row, so the bits
+do not depend on how a library groups the terms.  Wider rows take
+``np.einsum`` (default ``optimize=False``), not ``@``: einsum runs NumPy's
+own loop and never calls BLAS.  OpenBLAS threads its matrix-vector product
+on wide rows, and its idle workers spin-wait on the CPUs the study's pool
+threads need.
 
 Sorting.  ``np.sort(axis=1)`` pays a per-row call into its sort loop, which
-dominates on rows of a few values.  Rows of 2 to ``_NETWORK_MAX_WIDTH``
-values are therefore sorted by a comparator network: the block is copied
-transposed into an ``(n + 1, rows)`` buffer, so wire ``i`` is one
-contiguous buffer row, and each comparator ``(i, j)`` is one
+dominates on rows of a few values.  Rows of 2 to ``_NARROW_MAX_WIDTH``
+values therefore take the wire path, where a block stays in an ``(n + 1,
+rows)`` buffer from its one transposed copy to its last sum: wire ``i`` is
+one contiguous buffer row, and each comparator ``(i, j)`` is one
 ``np.minimum`` and one ``np.maximum`` over whole rows with ``out=``.  The
 minimum goes to the spare buffer row, which then becomes wire ``i``, so no
-comparator allocates.  The comparator list is Batcher's odd-even merge
-sort (Batcher 1968; Knuth, TAOCP vol. 3, 5.3.4), generated for any ``n``
-and cached per ``n`` on first use.  Wider rows keep ``np.sort``.
+comparator allocates, and the plan records the buffer row each sorted
+wire ends on.  The sort is Batcher's odd-even merge sort (Batcher 1968;
+Knuth, TAOCP vol. 3, 5.3.4).  The deviations ``|x - med|`` of a sorted row
+fall, then rise: ``med`` lies in the row's range, and the rounded
+``|x - med|`` is monotone in ``x`` on each side of it.  One
+``np.subtract`` and one ``np.abs`` over all ``n + 1`` buffer rows write them
+to a second buffer in the same layout; the spare row there holds the
+deviation of a stale copy of one of the row's values, so it warns only
+where a real value does.  Batcher's bitonic merger, which sorts such a
+sequence, then orders them from that layout: padded to the next power of
+two, with the comparators that touch a pad wire dropped, it takes 15
+comparators at n = 10 where the sort takes 32.  Both plans are generated
+for any ``n`` and cached per ``n`` on first use.  Wider rows keep
+``np.sort`` on rows.
 
-Bitwise contract.  ``_sort_rows`` returns the values of ``np.sort(a,
-axis=1)``: a sort is a permutation, so only the order of equal values can
-differ, which for floats means ``-0.0`` against ``+0.0``.  ``np.minimum``
-and ``np.maximum`` propagate NaN, and every wire of a sorting network
-has a path to its first output (the row's minimum can start anywhere), so
-a row holding NaN shows NaN there; such rows are re-sorted by ``np.sort``,
-which puts NaN last.  Everything after the sort is the same elementwise
-arithmetic and the same weighted sum per row whichever sort ran, so
-every MAD is bit-for-bit the value of sorting with ``np.sort`` (the sign
-of a zero median does not reach ``|x - med|``).
+Bitwise contract.  The networks give the values of ``np.sort``: a sort is
+a permutation, so only the order of equal values can differ, which for
+floats means ``-0.0`` against ``+0.0`` (never among the deviations).
+``np.minimum`` and ``np.maximum`` propagate NaN to both outputs, and every
+wire of a sorting network has a path to its first output (the row's
+minimum can start anywhere), so a row holding NaN shows NaN there.  Its
+MAD is NaN either way; it is recomputed on ``np.sort`` rows, which put NaN
+last, so it has the NaN and raises the warnings of the ``np.sort`` kernel.
+A wire NaN never reaches holds the value ``np.sort`` puts there, so the
+wire path's sums on such a row make no product the ``np.sort`` path does
+not.  Everything after the sort is the same elementwise arithmetic and
+the same weighted sum per row whichever sort ran, so every MAD is
+bit-for-bit the value of sorting with ``np.sort`` (the sign of a zero
+median does not reach ``|x - med|``).
 
 Blocks.  ``mad0_batch`` walks the rows in blocks of about
-``_BLOCK_VALUES`` values, so a block's sort, deviations and second sort
-stay in cache.  ``weights`` may stack ``k`` estimators' vectors as a
-``(k, n)`` array: the first sort of each block is then shared by all of
-them.
+``_BLOCK_VALUES`` values, so a block's wires and deviations stay in
+cache.  ``weights`` may stack ``k`` estimators' vectors as a ``(k, n)``
+array: the first sort of each block is then shared by all of them.
 
-Scratch.  The sorted block, its deviations and the network's buffer are
-views of one float64 array per thread (``thread_scratch``), kept between
-calls, grown when a call needs more and never shrunk.  A study calls the
-kernel once per chunk; blocks of a few MB allocated per call are returned
-to the OS when the call ends (glibc maps them), and the next call faults
-the same pages in again.  The returned array is always a fresh
-allocation, never a view of the scratch.  A study's worker threads live
-for the whole study, so each keeps its scratch from one cell to the next
-and takes it with it when the study ends; the calling thread releases its
-own scratch when the study ends, as a one-row ``mad.mad_uncorrected`` call
-does when it returns.
+Scratch.  A block's two wire buffers (for wide rows, its sorted rows and
+their deviations) are views of one float64 array per thread
+(``thread_scratch``), kept between calls, grown when a call needs more
+and never shrunk.  A study calls the kernel once per chunk; blocks of a
+few MB allocated per call are returned to the OS when the call ends
+(glibc maps them), and the next call faults the same pages in again.
+The returned array is always a fresh allocation, never a view of the
+scratch.  A study's worker threads live for the whole study, so each
+keeps its scratch from one cell to the next and takes it with it when the
+study ends; the calling thread releases its own scratch when the study
+ends, as a one-row ``mad.mad_uncorrected`` call does when it returns.
 """
 from __future__ import annotations
 
@@ -70,28 +86,30 @@ import numpy as np
 
 __all__ = ["mad0_batch"]
 
-# Widest row sorted by the comparator network; wider rows use np.sort.
-# Measured as mad0_batch rows per second, network against np.sort, both
-# blocked, on a 2-vCPU AVX-512 Xeon: the network is 1.3-3x ahead up to
-# n = 7, level at n = 8 and 9, and 3-6 % behind at n = 10 (32 comparators)
-# and 14-21 % behind at n = 11 and 12.
-_NETWORK_MAX_WIDTH = 9
-
-# Widest row summed left to right by ``_weighted_median``; wider rows keep
-# einsum's sum.  Up to here the column loop costs about what einsum does:
-# mad0_batch with three stacked weight vectors on 131k rows took 0.7x
-# einsum's time at n = 2, 0.8-0.9x at n = 3 and 0.9-1.2x at n = 5 to 12
-# (best of 5, four runs, 2-vCPU AVX-512 Xeon).
-_NARROW_SUM_MAX_WIDTH = 12
+# Widest row on the wire path, sorted by the networks and summed left to
+# right; wider rows take np.sort and einsum.  The sum fixes it: past 12
+# values the left-to-right order would change the bits einsum gives.  On a
+# (16384, n) chunk, best of 5, two runs on a 2-vCPU AVX-512 Xeon, the wire
+# path took 0.41-0.74x the time of the kernel it replaced (row-form network
+# up to n = 9, np.sort above) with three stacked weight vectors and
+# 0.48-0.62x with one; at n = 12 it took 0.51-0.62x that of np.sort.
+_NARROW_MAX_WIDTH = 12
 
 # Values per block of rows: 1 MiB of float64 per block.  Smaller blocks
 # fit the caches better but make more, shorter NumPy calls, which two study
-# threads then contend for the interpreter lock to make.  On a kernel mix
-# like calibrate's, blocks of 2**16 to 2**19 values ran alike and 2**14
-# was slowest, worst with two threads.  A thread's scratch holds two blocks
-# (sorted rows and deviations) plus, for network widths, the ``(n + 1,
-# rows)`` network buffer: about 3.3 MB at most (n = 7 to 9), 2.1 MB for
-# wide rows up to n = 2**17.
+# threads then contend for the interpreter lock to make.  Measured on the
+# wire kernel (2-vCPU AVX-512 Xeon, 15 alternated rounds): calibrate's
+# (16384, n) chunks at n = 2, 3, 5, 10, three stacked weight vectors, took
+# 28, 28, 26 and 27 ms per 16 calls on one thread at 2**16 to 2**19, and
+# 60, 51, 45 and 44 ms per 2 x 16 calls on two threads.  The two-thread
+# gain of 2**18 comes from n = 10 and 12 (57 -> 41 and 70 -> 50 ms per
+# 2 x 8 calls), where a chunk is then one block, not two.  It did not reach
+# perfbench's calibrate (cycle 1.83 and 1.73 s at 2**17 against 1.95 and
+# 1.79 s at 2**18, two alternated pairs), and 2**18 doubles the scratch of
+# wide rows (sensitivity's peak RSS, one run each: 116 against 111 MB).
+# A thread's scratch holds two blocks: for wide rows the sorted rows and
+# their deviations (2.1 MB), for rows of 2 to 12 values two ``(n + 1,
+# rows)`` wire buffers ((n + 1) / n times that: 3.1 MB at n = 2).
 _BLOCK_VALUES = 1 << 17
 
 _scratch = threading.local()
@@ -136,77 +154,116 @@ def _batcher_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-@lru_cache(maxsize=None)  # one plan per width up to _NETWORK_MAX_WIDTH
-def _network_plan(n: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
-    """Buffer rows for each comparator, and the buffer row of each wire at the end.
+def _bitonic_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Batcher's bitonic merger on ``n`` wires, as (low, high) pairs.
+
+    The merger for the next power of two with every comparator that
+    touches a wire >= n dropped: those wires act as +inf, which keeps a
+    V-shaped input V-shaped, and never move.
+    """
+    pairs = []
+    k = 1 << ((n - 1).bit_length() - 1)  # half the next power of two
+    while k >= 1:
+        pairs.extend((i, i + k) for i in range(n - k) if not i & k)
+        k //= 2
+    return tuple(pairs)
+
+
+def _schedule(pairs, where, spare):
+    """Buffer-row steps for the comparators ``pairs`` on wires held at rows ``where``.
 
     A step ``(a, b, lo)`` writes ``min(buf[a], buf[b])`` to ``buf[lo]`` and
     ``max(buf[a], buf[b])`` to ``buf[b]``; row ``a`` is then the spare.
+    Returns the steps, the buffer row of each wire at the end, and the
+    spare row at the end.
     """
-    where = list(range(n))
-    spare = n
+    where = list(where)
     steps = []
-    for i, j in _batcher_pairs(n):
+    for i, j in pairs:
         a, b = where[i], where[j]
         steps.append((a, b, spare))
         where[i], spare = spare, a
-    return tuple(steps), tuple(where)
+    return tuple(steps), tuple(where), spare
 
 
-def _sort_rows(a: np.ndarray, out: np.ndarray | None = None,
-               work: np.ndarray | None = None) -> np.ndarray:
-    """``np.sort(a, axis=1)`` for a float64 ``(rows, n)`` array.
+@lru_cache(maxsize=None)  # one plan per width up to _NARROW_MAX_WIDTH
+def _plan(n: int):
+    """The wire path's steps on ``n + 1`` buffer rows: ``(sort, where, merge, merged)``.
 
-    ``out`` (C-contiguous, same shape, may be ``a``) receives the result;
-    ``work`` is a flat float64 scratch array of at least ``(n + 1) * rows``
-    values for the network.  Either is allocated when not given.
+    ``sort`` is Batcher's odd-even merge sort from wire ``i`` at row ``i``
+    (row ``n`` spare); it leaves sorted wire ``i`` at row ``where[i]``.
+    ``merge`` is the bitonic merger from that layout; it leaves sorted wire
+    ``i`` at row ``merged[i]``.
     """
-    rows, n = a.shape
-    if out is None:
-        out = np.empty(a.shape)
-    if not 2 <= n <= _NETWORK_MAX_WIDTH:
-        if out is not a:
-            np.copyto(out, a)
-        out.sort(axis=1)
-        return out
-    steps, where = _network_plan(n)
-    if work is None:
-        work = np.empty((n + 1) * rows)
-    buf = work[: (n + 1) * rows].reshape(n + 1, rows)
-    np.copyto(buf[:n], a.T)
-    for lo_in, hi, lo in steps:
-        np.minimum(buf[lo_in], buf[hi], out=buf[lo])
-        np.maximum(buf[lo_in], buf[hi], out=buf[hi])
-    nan = np.isnan(buf[where[0]])
-    has_nan = nan.any()
-    if has_nan:  # read before ``out``, which may be ``a``, is written
-        resorted = np.sort(a[nan], axis=1)
-    cols = out.T
-    for k, row in enumerate(where):
-        np.copyto(cols[k], buf[row])
-    if has_nan:
-        out[nan] = resorted
-    return out
+    sort, where, spare = _schedule(_batcher_pairs(n), range(n), n)
+    merge, merged, _ = _schedule(_bitonic_pairs(n), where, spare)
+    return sort, where, merge, merged
 
 
-def _weighted_median(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum(weights * row) per sorted row of ``rows``, clamped to [row[0], row[-1]].
+def _run(wires: list, steps) -> None:
+    """Apply the comparator ``steps`` in place to the buffer rows ``wires``."""
+    for a, b, lo in steps:
+        np.minimum(wires[a], wires[b], out=wires[lo])
+        np.maximum(wires[a], wires[b], out=wires[b])
 
-    Rows of up to ``_NARROW_SUM_MAX_WIDTH`` values sum left to right,
-    ``((w0*x0 + w1*x1) + w2*x2) + ...``; wider rows take einsum's sum.
+
+def _weighted_median(cols, weights: np.ndarray) -> np.ndarray:
+    """sum(weights * row) per sorted row, clamped to [row[0], row[-1]].
+
+    ``cols`` holds the rows by column: a sequence of ``n`` equal-length
+    arrays, entry ``j`` holding value ``j`` of every row, such as ``rows.T``
+    of a ``(rows, n)`` array or the wire path's sorted buffer rows.  Up to
+    ``_NARROW_MAX_WIDTH`` columns sum left to right, ``((w0*x0 + w1*x1) +
+    w2*x2) + ...``; more take einsum's sum.
     """
-    if rows.shape[1] <= _NARROW_SUM_MAX_WIDTH:
+    if len(cols) <= _NARROW_MAX_WIDTH:
         w = weights.tolist()
-        med = rows[:, 0] * w[0]
+        med = cols[0] * w[0]
         term = np.empty_like(med)
-        for j in range(1, len(w)):
-            med += np.multiply(rows[:, j], w[j], out=term)
+        for col, wj in zip(cols[1:], w[1:]):
+            med += np.multiply(col, wj, out=term)
     else:
-        med = np.einsum("ij,j->i", rows, weights)
+        med = np.einsum("ij,j->i", cols.T, weights)
     # Non-negative weights summing to 1 put the exact sum inside the row's
     # range; rounding can step past it, and a constant row must have a MAD
     # of exactly 0.
-    return np.clip(med, rows[:, 0], rows[:, -1], out=med)
+    return np.clip(med, cols[0], cols[-1], out=med)
+
+
+def _mad_sorted_rows(xs: np.ndarray, stack: np.ndarray, out: np.ndarray,
+                     dev: np.ndarray) -> None:
+    """MADs of the sorted rows ``xs`` into ``out[k]``, one per weight vector ``stack[k]``.
+
+    ``dev`` is scratch of the shape of ``xs``.
+    """
+    for k, wk in enumerate(stack):
+        np.subtract(xs, _weighted_median(xs.T, wk)[:, None], out=dev)
+        np.abs(dev, out=dev)
+        dev.sort(axis=1)
+        out[k] = _weighted_median(dev.T, wk)
+
+
+def _mad_wires(block: np.ndarray, stack: np.ndarray, out: np.ndarray,
+               buf: np.ndarray, dbuf: np.ndarray) -> None:
+    """MADs of the ``(rows, n)`` ``block`` into ``out[k]``, on ``(n + 1, rows)`` wire buffers."""
+    sort, where, merge, merged = _plan(block.shape[1])
+    np.copyto(buf[:-1], block.T)
+    wires, devs = list(buf), list(dbuf)
+    _run(wires, sort)
+    sorted_wires = [wires[r] for r in where]
+    sorted_devs = [devs[r] for r in merged]
+    for k, wk in enumerate(stack):
+        # The spare row is a stale copy of one of the row's values.
+        np.subtract(buf, _weighted_median(sorted_wires, wk), out=dbuf)
+        np.abs(dbuf, out=dbuf)
+        _run(devs, merge)
+        out[k] = _weighted_median(sorted_devs, wk)
+    nan = np.isnan(wires[where[0]])  # NaN reaches the first wire
+    if nan.any():
+        xs = np.sort(block[nan], axis=1)
+        nan_mads = np.empty((len(stack), len(xs)))
+        _mad_sorted_rows(xs, stack, nan_mads, np.empty_like(xs))
+        out[:, nan] = nan_mads
 
 
 def mad0_batch(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -226,20 +283,21 @@ def mad0_batch(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
         raise ValueError(f"weights of shape {w.shape} do not match rows of width {n}")
     mads = np.empty((len(stack), rows))
     step = max(1, min(rows, _BLOCK_VALUES // max(n, 1)))
-    size = step * n
-    network = 2 <= n <= _NETWORK_MAX_WIDTH  # wide rows never touch ``work``
-    scratch = thread_scratch("kernel", 2 * size + ((n + 1) * step if network else 0))
-    xs = scratch[:size].reshape(step, n)
-    dev = scratch[size:2 * size].reshape(step, n)
-    work = scratch[2 * size:] if network else None
+    narrow = 2 <= n <= _NARROW_MAX_WIDTH
+    shape = (n + 1, step) if narrow else (step, n)
+    size = shape[0] * shape[1]
+    scratch = thread_scratch("kernel", 2 * size)
+    first = scratch[:size].reshape(shape)
+    second = scratch[size:2 * size].reshape(shape)
     for start in range(0, rows, step):
         block = x[start:start + step]
         count = len(block)
-        xs_b = _sort_rows(block, xs[:count], work)
-        dev_b = dev[:count]
-        for k, wk in enumerate(stack):
-            np.subtract(xs_b, _weighted_median(xs_b, wk)[:, None], out=dev_b)
-            np.abs(dev_b, out=dev_b)
-            _sort_rows(dev_b, dev_b, work)
-            mads[k, start:start + count] = _weighted_median(dev_b, wk)
+        out = mads[:, start:start + count]
+        if narrow:
+            _mad_wires(block, stack, out, first[:, :count], second[:, :count])
+        else:
+            xs = first[:count]
+            np.copyto(xs, block)
+            xs.sort(axis=1)
+            _mad_sorted_rows(xs, stack, out, second[:count])
     return mads[0] if w.ndim == 1 else mads

@@ -177,7 +177,7 @@ def _require_nonempty(x: Sample) -> None:
 
 def _estimate(w: np.ndarray, x: Sample) -> float:
     """The kernel's clamped sum of weights times order statistics, for one sample."""
-    return float(_weighted_median(x.values[None, :], w)[0])
+    return float(_weighted_median(x.values[:, None], w)[0])
 
 
 def _check_open_prob(p: float) -> None:

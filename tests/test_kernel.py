@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from madkit import _kernel
-from madkit._kernel import _NETWORK_MAX_WIDTH, _sort_rows, mad0_batch
+from madkit._kernel import _NARROW_MAX_WIDTH, _plan, _run, mad0_batch
 from madkit.mad import mad_uncorrected
 from madkit.quantiles import HD, SM, THD_SQRT, median_weights
 
@@ -76,7 +76,7 @@ def test_narrow_weighted_median_is_the_left_to_right_sum(kind):
         w = median_weights(n, kind)
         for scale in (1.0, 1e300, 1e-300):
             rows = np.sort(rng.standard_normal((200, n)), axis=1) * scale
-            got = _kernel._weighted_median(rows, w)
+            got = _kernel._weighted_median(rows.T, w)
             want = [min(max(_narrow_sum(v, w), v[0]), v[-1]) for v in rows]
             assert [x.hex() for x in got.tolist()] == [x.hex() for x in want], (n, scale)
 
@@ -141,7 +141,7 @@ def test_huge_rows_stay_finite(kind):
 
 # --- Sorting networks, blocks and stacked weights -------------------------
 
-LIMIT = _NETWORK_MAX_WIDTH
+LIMIT = _NARROW_MAX_WIDTH  # widest row on the wire path
 
 
 def _block_rows(n):
@@ -171,14 +171,37 @@ def _mad0_np_sort(samples, weights):
     return np.clip(_row_sums(dev, weights), dev[:, 0], dev[:, -1])
 
 
-@pytest.mark.parametrize("n", range(2, LIMIT + 3))
-def test_sort_rows_is_np_sort(n):
+def _wires(a):
+    """The rows of ``a`` as the kernel's ``(n + 1, rows)`` wire buffer."""
+    rows, n = a.shape
+    buf = np.full((n + 1, rows), np.nan)
+    buf[:n] = a.T
+    return buf
+
+
+def _network_sort(a):
+    """np.sort(a, axis=1) by the first network, from wire i at buffer row i."""
+    sort, where, _, _ = _plan(a.shape[1])
+    buf = _wires(a)
+    _run(list(buf), sort)
+    return buf[list(where)].T
+
+
+def _merge(v_rows):
+    """The bitonic merger run on rows held in the first network's final layout."""
+    _, where, merge, merged = _plan(v_rows.shape[1])
+    buf = np.full((v_rows.shape[1] + 1, len(v_rows)), np.nan)
+    buf[list(where)] = v_rows.T
+    _run(list(buf), merge)
+    return buf[list(merged)].T
+
+
+@pytest.mark.parametrize("n", range(2, LIMIT + 1))
+def test_network_sort_is_np_sort(n):
     rng = np.random.default_rng(20 + n)
     for rows in (1, 7, _block_rows(n), _block_rows(n) + 1, 40000):
         a = rng.standard_normal((rows, n))
-        copy = a.copy()
-        assert np.array_equal(_bits(_sort_rows(a)), _bits(np.sort(a, axis=1)))
-        assert np.array_equal(a, copy)
+        assert np.array_equal(_bits(_network_sort(a)), _bits(np.sort(a, axis=1)))
 
 
 @pytest.mark.parametrize("n", range(2, LIMIT + 1))
@@ -186,10 +209,47 @@ def test_network_sorts_every_binary_row(n):
     # 0-1 principle (Knuth, TAOCP vol. 3, 5.3.4): a comparator network sorts
     # every input iff it sorts all 2**n rows of zeros and ones.
     rows = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
-    assert np.array_equal(_sort_rows(rows), np.sort(rows, axis=1))
+    assert np.array_equal(_network_sort(rows), np.sort(rows, axis=1))
 
 
-def test_sort_rows_nan_and_inf_rows():
+@pytest.mark.parametrize("n", range(2, LIMIT + 1))
+def test_merger_sorts_every_v_shaped_binary_row(n):
+    # The deviations of a sorted row fall, then rise.  A monotone map keeps
+    # that shape, so by the 0-1 principle the merger sorts every such row
+    # iff it sorts every row 1..1 0..0 1..1; its dropped pad wires are the
+    # 1s that would follow them up to the next power of two.
+    rows = np.array([[1.0] * a + [0.0] * b + [1.0] * (n - a - b)
+                     for a in range(n + 1) for b in range(n + 1 - a)])
+    assert np.array_equal(_merge(rows), np.sort(rows, axis=1))
+
+
+def test_merger_sorts_v_shaped_deviations():
+    rng = np.random.default_rng(25)
+    for n in range(2, LIMIT + 1):
+        xs = np.sort(rng.integers(-3, 4, (500, n)).astype(np.float64), axis=1)
+        dev = np.abs(xs - rng.uniform(xs[:, :1], xs[:, -1:]))
+        assert np.array_equal(_bits(_merge(dev)), _bits(np.sort(dev, axis=1))), n
+
+
+@pytest.mark.parametrize("n, comparators", ((2, 1), (3, 2), (5, 5), (8, 12), (10, 15), (12, 20)))
+def test_merger_drops_the_pad_comparators(n, comparators):
+    # Padded to the next power of two P, the merger has (P / 2) log2(P)
+    # comparators before those touching a pad wire are dropped: 32 at n = 10.
+    _, _, merge, _ = _plan(n)
+    assert len(merge) == comparators
+
+
+def test_plans_write_only_buffer_rows():
+    for n in range(2, LIMIT + 1):
+        sort, where, merge, merged = _plan(n)
+        for steps in (sort, merge):
+            assert all(0 <= r <= n for step in steps for r in step)
+        assert sorted(where) != list(range(n + 1)) and len(set(where)) == n
+        assert len(set(merged)) == n
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
+def test_nan_rows_take_the_np_sort_path(kind):
     rng = np.random.default_rng(21)
     for n in range(2, LIMIT + 3):
         a = rng.standard_normal((64, n))
@@ -197,7 +257,40 @@ def test_sort_rows_nan_and_inf_rows():
         a[rng.random(a.shape) < 0.05] = np.inf
         a[rng.random(a.shape) < 0.05] = -np.inf
         a[3] = np.nan
-        np.testing.assert_array_equal(_sort_rows(a), np.sort(a, axis=1))
+        weights = median_weights(n, kind)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got = mad0_batch(a, weights)
+            expected = _mad0_np_sort(a, weights)
+        nan = np.isnan(expected)
+        assert nan[3] and np.array_equal(np.isnan(got), nan), n
+        assert np.array_equal(_bits(got[~nan]), _bits(expected[~nan])), n
+
+
+def test_network_leaves_nan_rows_sorted_but_for_nan():
+    # NaN takes both outputs of a comparator it meets, so a wire it never
+    # reaches carries the value np.sort puts there (NaN last), and the
+    # wire path's sums on a NaN row make no product the np.sort path does not.
+    rng = np.random.default_rng(26)
+    for n in range(2, LIMIT + 1):
+        a = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 2.0], (2000, n))
+        got, want = _network_sort(a), np.sort(a, axis=1)
+        kept = ~np.isnan(got)
+        assert np.array_equal(np.isnan(got[:, 0]), np.isnan(a).any(axis=1)), n
+        assert np.array_equal(got[kept], want[kept]), n
+
+
+@pytest.mark.parametrize("n", (3, 5, LIMIT))
+def test_nan_rows_raise_no_warning_of_their_own(n):
+    # Sorted, each row is 1, ..., 1, +inf, NaN, and +inf meets the one
+    # nonzero weight; on a weight of 0 it would warn (inf * 0), and
+    # RuntimeWarnings are errors in Tier-1.
+    row = np.array([np.nan, np.inf] + [1.0] * (n - 2))
+    samples = np.array([np.roll(row, s) for s in range(n)] + [np.arange(n, dtype=float)])
+    weights = np.eye(n)[n - 2]
+    got = mad0_batch(samples, weights)
+    expected = _mad0_np_sort(samples, weights)
+    assert np.isnan(got[:-1]).all() and np.isnan(expected[:-1]).all()
+    assert _bits(got[-1:]) == _bits(expected[-1:])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
@@ -210,6 +303,20 @@ def test_bitwise_equal_to_np_sort_formulation(kind):
             samples = rng.standard_normal((rows, n))
             got = mad0_batch(samples, weights)
             assert np.array_equal(_bits(got), _bits(_mad0_np_sort(samples, weights))), (n, rows)
+
+
+@pytest.mark.parametrize("n", range(2, LIMIT + 2))
+def test_tied_rows_bitwise_equal_to_np_sort_formulation(n):
+    # Rows of small integers, zeros of either sign: many values and
+    # deviations tie, and the networks order tied values as they like.
+    rng = np.random.default_rng(27 + n)
+    stack = np.stack([median_weights(n, kind) for kind in ALL_KINDS])
+    block = _block_rows(n)
+    for rows in (1, block - 1, block + 1, 2 * block + 3):
+        samples = rng.integers(-3, 4, (rows, n)) * rng.choice([1.0, -1.0], (rows, n))
+        want = np.stack([_mad0_np_sort(samples, wk) for wk in stack])
+        assert np.array_equal(_bits(mad0_batch(samples, stack)), _bits(want)), rows
+        assert np.array_equal(_bits(mad0_batch(samples, stack[1])), _bits(want[1])), rows
 
 
 @pytest.mark.parametrize("n", (2, 3, 5, LIMIT, LIMIT + 1, 30, 100))

@@ -115,7 +115,7 @@ class TestHf7:
                        (200, n)),
         ])
         xs = np.sort(rows, axis=1)
-        kernel = _weighted_median(xs, median_weights(n, SM))
+        kernel = _weighted_median(xs.T, median_weights(n, SM))
         got = np.array([median(row, SM) for row in rows])
         assert np.array_equal(got.view(np.uint64), kernel.view(np.uint64))
 
