@@ -286,7 +286,13 @@ def mad0_batch(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
     narrow = 2 <= n <= _NARROW_MAX_WIDTH
     shape = (n + 1, step) if narrow else (step, n)
     size = shape[0] * shape[1]
-    scratch = thread_scratch("kernel", 2 * size)
+    # A call of more than one row (a study's chunk) takes at least two full
+    # blocks, so a study thread allocates its scratch once for every width
+    # it meets: freeing a smaller array to grow it raises glibc's dynamic
+    # mmap threshold, and the thread's later temporaries then stay in its
+    # heap (sensitivity, n = 5 then 30: 3 MB more peak RSS).  A one-row call
+    # releases its scratch when it returns, and takes only what it needs.
+    scratch = thread_scratch("kernel", max(2 * size, 2 * _BLOCK_VALUES if rows > 1 else 0))
     first = scratch[:size].reshape(shape)
     second = scratch[size:2 * size].reshape(shape)
     for start in range(0, rows, step):

@@ -171,18 +171,11 @@ def _mad0_np_sort(samples, weights):
     return np.clip(_row_sums(dev, weights), dev[:, 0], dev[:, -1])
 
 
-def _wires(a):
-    """The rows of ``a`` as the kernel's ``(n + 1, rows)`` wire buffer."""
-    rows, n = a.shape
-    buf = np.full((n + 1, rows), np.nan)
-    buf[:n] = a.T
-    return buf
-
-
 def _network_sort(a):
     """np.sort(a, axis=1) by the first network, from wire i at buffer row i."""
     sort, where, _, _ = _plan(a.shape[1])
-    buf = _wires(a)
+    buf = np.full((a.shape[1] + 1, len(a)), np.nan)
+    buf[:-1] = a.T
     _run(list(buf), sort)
     return buf[list(where)].T
 
@@ -223,47 +216,12 @@ def test_merger_sorts_every_v_shaped_binary_row(n):
     assert np.array_equal(_merge(rows), np.sort(rows, axis=1))
 
 
-def test_merger_sorts_v_shaped_deviations():
-    rng = np.random.default_rng(25)
-    for n in range(2, LIMIT + 1):
-        xs = np.sort(rng.integers(-3, 4, (500, n)).astype(np.float64), axis=1)
-        dev = np.abs(xs - rng.uniform(xs[:, :1], xs[:, -1:]))
-        assert np.array_equal(_bits(_merge(dev)), _bits(np.sort(dev, axis=1))), n
-
-
 @pytest.mark.parametrize("n, comparators", ((2, 1), (3, 2), (5, 5), (8, 12), (10, 15), (12, 20)))
 def test_merger_drops_the_pad_comparators(n, comparators):
     # Padded to the next power of two P, the merger has (P / 2) log2(P)
     # comparators before those touching a pad wire are dropped: 32 at n = 10.
     _, _, merge, _ = _plan(n)
     assert len(merge) == comparators
-
-
-def test_plans_write_only_buffer_rows():
-    for n in range(2, LIMIT + 1):
-        sort, where, merge, merged = _plan(n)
-        for steps in (sort, merge):
-            assert all(0 <= r <= n for step in steps for r in step)
-        assert sorted(where) != list(range(n + 1)) and len(set(where)) == n
-        assert len(set(merged)) == n
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
-def test_nan_rows_take_the_np_sort_path(kind):
-    rng = np.random.default_rng(21)
-    for n in range(2, LIMIT + 3):
-        a = rng.standard_normal((64, n))
-        a[rng.random(a.shape) < 0.05] = np.nan
-        a[rng.random(a.shape) < 0.05] = np.inf
-        a[rng.random(a.shape) < 0.05] = -np.inf
-        a[3] = np.nan
-        weights = median_weights(n, kind)
-        with np.errstate(invalid="ignore"):  # inf - inf
-            got = mad0_batch(a, weights)
-            expected = _mad0_np_sort(a, weights)
-        nan = np.isnan(expected)
-        assert nan[3] and np.array_equal(np.isnan(got), nan), n
-        assert np.array_equal(_bits(got[~nan]), _bits(expected[~nan])), n
 
 
 def test_network_leaves_nan_rows_sorted_but_for_nan():
@@ -279,6 +237,20 @@ def test_network_leaves_nan_rows_sorted_but_for_nan():
         assert np.array_equal(got[kept], want[kept]), n
 
 
+def test_nan_rows_have_the_np_sort_kernels_nan():
+    # A MAD meets NaNs of two payloads in the order its sums take them;
+    # np.sort fixes that order, the networks do not.
+    nans = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(np.float64)
+    rng = np.random.default_rng(27)
+    for n in range(2, LIMIT + 1):
+        samples = rng.standard_normal((500, n))
+        for row in samples:
+            row[rng.choice(n, 2, replace=False)] = nans
+        weights = median_weights(n, HD)
+        assert np.array_equal(_bits(mad0_batch(samples, weights)),
+                              _bits(_mad0_np_sort(samples, weights))), n
+
+
 @pytest.mark.parametrize("n", (3, 5, LIMIT))
 def test_nan_rows_raise_no_warning_of_their_own(n):
     # Sorted, each row is 1, ..., 1, +inf, NaN, and +inf meets the one
@@ -290,7 +262,7 @@ def test_nan_rows_raise_no_warning_of_their_own(n):
     got = mad0_batch(samples, weights)
     expected = _mad0_np_sort(samples, weights)
     assert np.isnan(got[:-1]).all() and np.isnan(expected[:-1]).all()
-    assert _bits(got[-1:]) == _bits(expected[-1:])
+    assert np.array_equal(_bits(got[-1:]), _bits(expected[-1:]))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
@@ -334,7 +306,7 @@ def test_stacked_weights_match_single_calls(n):
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
 def test_non_finite_and_signed_zero_rows_match_reference(kind):
     rng = np.random.default_rng(24)
-    for n in (2, 3, 5, LIMIT, LIMIT + 1, 30):
+    for n in (*range(2, LIMIT + 2), 30):
         samples = rng.standard_normal((300, n))
         samples[rng.random(samples.shape) < 0.02] = np.nan
         samples[rng.random(samples.shape) < 0.02] = np.inf
