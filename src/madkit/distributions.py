@@ -19,6 +19,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from madkit._kernel import _BLOCK_VALUES
 from madkit.errors import DistributionSpecError
 from madkit.quantiles import Sample
 
@@ -62,17 +63,34 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
+def _pieces(out: np.ndarray) -> list[np.ndarray]:
+    """C-contiguous ``out`` as consecutive flat views of ``_BLOCK_VALUES`` values.
+
+    The last piece holds the remainder.  A family that needs a second array
+    fills ``out`` piece by piece, so that array is one piece long whatever
+    the size of ``out``.
+    """
+    flat = out.reshape(-1)
+    return [flat[i:i + _BLOCK_VALUES] for i in range(0, flat.size, _BLOCK_VALUES)]
+
+
 def _open_uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     # Uniform on the open interval (0, 1): keeps every log/tan transform finite.
     # The integers are below 2**53, so their cast to float64 is exact.
-    return np.multiply(rng.integers(1, 1 << 53, size=out.shape), 2.0**-53, out=out)
+    for piece in _pieces(out):
+        np.multiply(rng.integers(1, 1 << 53, size=piece.size), 2.0**-53, out=piece)
+    return out
 
 
 # A family's draw fills ``out`` (float64, C-contiguous) in place and returns
 # it.  The transforms run on ``out`` with ``out=`` ufuncs and in-place
 # operators, each the same operation on the same operands as the
 # expression in its comment, so the values do not depend on which buffer
-# is filled.
+# is filled.  A second array (the integers behind a uniform, a Gamma
+# variate, triangular's upper branch) is drawn or computed one piece of
+# ``out`` at a time, in the order of the pieces.  The stream gives the
+# same values as one draw of the whole: a bounded 64-bit ``integers`` and
+# ``standard_gamma`` keep nothing from one call to the next.
 DrawFn = Callable[[np.random.Generator, np.ndarray, dict], np.ndarray]
 
 
@@ -103,29 +121,30 @@ def _draw_triangular(rng, out, p):
     # An invalid inf * 0 arises only where b - a overflows and c is at an
     # end, in the branch that no value takes.
     a, b, c = p["a"], p["b"], p["c"]
-    u = _open_uniform(rng, out)
-    upper = u >= (c - a) / (b - a)
-    with np.errstate(invalid="ignore"):
-        hi = np.subtract(1.0, u)
-        hi *= b - a
-        hi *= b - c
-        np.sqrt(hi, out=hi)
-        np.subtract(b, hi, out=hi)
-        u *= b - a
-        u *= c - a
-        np.sqrt(u, out=u)
-        np.add(a, u, out=u)
-    np.copyto(u, hi, where=upper)
-    return u
+    fc = (c - a) / (b - a)
+    for u in _pieces(_open_uniform(rng, out)):
+        upper = u >= fc
+        with np.errstate(invalid="ignore"):
+            hi = np.subtract(1.0, u)
+            hi *= b - a
+            hi *= b - c
+            np.sqrt(hi, out=hi)
+            np.subtract(b, hi, out=hi)
+            u *= b - a
+            u *= c - a
+            np.sqrt(u, out=u)
+            np.add(a, u, out=u)
+        np.copyto(u, hi, where=upper)
+    return out
 
 
 def _draw_beta(rng, out, p):
     # g1 / (g1 + g2)
-    g1 = rng.standard_gamma(p["a"], out=out)
-    g2 = rng.standard_gamma(p["b"], size=out.shape)
-    g2 += g1
-    g1 /= g2
-    return g1
+    for g1 in _pieces(rng.standard_gamma(p["a"], out=out)):
+        g2 = rng.standard_gamma(p["b"], size=g1.size)
+        g2 += g1
+        g1 /= g2
+    return out
 
 
 def _draw_normal(rng, out, p):
@@ -150,13 +169,13 @@ def _draw_weibull(rng, out, p):
 def _draw_student(rng, out, p):
     # z / sqrt(2 * gamma(df / 2) / df)
     df = p["df"]
-    z = rng.standard_normal(out=out)
-    chi2 = rng.standard_gamma(df / 2.0, size=out.shape)
-    chi2 *= 2.0
-    chi2 /= df
-    np.sqrt(chi2, out=chi2)
-    z /= chi2
-    return z
+    for z in _pieces(rng.standard_normal(out=out)):
+        chi2 = rng.standard_gamma(df / 2.0, size=z.size)
+        chi2 *= 2.0
+        chi2 /= df
+        np.sqrt(chi2, out=chi2)
+        z /= chi2
+    return out
 
 
 def _draw_gumbel(rng, out, p):
@@ -302,9 +321,10 @@ class DistributionSpec:
     def draw(self, rng: np.random.Generator, size, out: np.ndarray | None = None) -> np.ndarray:
         """Raw i.i.d. draws (unsorted), any shape.
 
-        ``out``, a C-contiguous float64 array of shape ``size``, receives
-        the draws and is returned; it gets the values a fresh array would.
-        Uniform-based families still allocate their integer draws.
+        ``out``, a writeable C-contiguous float64 array of shape ``size``,
+        receives the draws and is returned; it gets the values a fresh
+        array would.  Beyond ``out``, a draw allocates at most a few arrays
+        of ``_kernel._BLOCK_VALUES`` values, whatever ``size`` is.
         """
         shape = tuple(size) if np.iterable(size) else (size,)
         if out is None:
@@ -313,6 +333,8 @@ class DistributionSpec:
             raise ValueError(
                 f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}"
             )
+        elif not (out.flags.c_contiguous and out.flags.writeable):
+            raise ValueError("out must be a writeable C-contiguous array")
         return self._family.draw(rng, out, dict(self.params))
 
     def __str__(self) -> str:

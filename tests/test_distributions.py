@@ -1,11 +1,13 @@
 """Samplers: spec parsing, determinism, stream independence, and
 distributional correctness via Kolmogorov-Smirnov against analytic CDFs."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from madkit._kernel import _BLOCK_VALUES
 from madkit.distributions import (
     DEFAULT_SENSITIVITY_SET,
     DistributionSpec,
@@ -243,7 +245,8 @@ DRAW_SPECS = tuple(DEFAULT_SENSITIVITY_SET) + tuple(parse_spec(t) for t in (
 
 class TestDrawInto:
     @pytest.mark.parametrize("spec", DRAW_SPECS, ids=str)
-    @pytest.mark.parametrize("shape", [(4096, 5), (3, 7), (11,)])
+    # (50001, 7) spans two pieces of _BLOCK_VALUES values and a remainder.
+    @pytest.mark.parametrize("shape", [(50001, 7), (4096, 5), (3, 7), (11,)])
     def test_out_gets_the_values_of_a_fresh_draw(self, spec, shape):
         def rng():
             return RngStream(31, 7).generator()
@@ -280,3 +283,35 @@ class TestDrawInto:
     def test_rejects_mismatched_out(self, out):
         with pytest.raises(ValueError):
             parse_spec("normal()").draw(RngStream(1).generator(), (4, 5), out=out)
+
+    @pytest.mark.parametrize("spec", DRAW_SPECS, ids=str)
+    @pytest.mark.parametrize("layout", ["transposed", "strided", "read-only"])
+    def test_rejects_out_it_cannot_fill_in_place(self, spec, layout):
+        # A flat piece of a strided out would be a copy, and the draw would
+        # return out unfilled; the check comes before anything is drawn.
+        if layout == "transposed":
+            out = np.zeros((5, 4)).T
+        elif layout == "strided":
+            out = np.zeros((4, 10))[:, ::2]
+        else:
+            out = np.zeros((4, 5))
+            out.flags.writeable = False
+        rng = RngStream(1).generator()
+        with pytest.raises(ValueError, match="writeable C-contiguous"):
+            spec.draw(rng, (4, 5), out=out)
+        assert rng.random() == RngStream(1).generator().random()
+        assert not out.any()
+
+    @pytest.mark.parametrize("spec", DRAW_SPECS, ids=str)
+    def test_temporaries_are_pieces_not_a_chunk(self, spec):
+        # Beyond out, a (16384, 100) draw allocates a few arrays of one piece
+        # each; a second array the size of the chunk would be 12.5 MiB.
+        out = np.empty((16384, 100))
+        rng = RngStream(5).generator()
+        tracemalloc.start()
+        try:
+            spec.draw(rng, out.shape, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * _BLOCK_VALUES * 8, spec

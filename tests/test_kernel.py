@@ -81,6 +81,28 @@ def test_narrow_weighted_median_is_the_left_to_right_sum(kind):
             assert [x.hex() for x in got.tolist()] == [x.hex() for x in want], (n, scale)
 
 
+@pytest.mark.parametrize("rows", (1, 2, 3, 7, 8, 15, 16, 17, 63, 64, 255, 4097, 16387))
+def test_clamp_has_the_bits_of_np_clip(rows):
+    # _weighted_median clamps with np.maximum, then np.minimum: on the
+    # installed NumPy that gives the bits of np.clip, signed zeros and NaN
+    # payloads included.
+    rng = np.random.default_rng(rows)
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000002, 0x7FF800000000BEEF],
+                    dtype=np.uint64).view(np.float64)
+    values = np.concatenate([[0.0, -0.0, 1.0, -1.0], nans])
+    med, lo, hi = values[rng.integers(0, len(values), (3, rows))]
+    clamped = np.maximum(med, lo)
+    np.minimum(clamped, hi, out=clamped)
+    assert np.array_equal(clamped.view(np.uint64), np.clip(med, lo, hi).view(np.uint64))
+    for w in ([0.0, 1.0, 0.0], [0.25, 0.5, 0.25]):
+        got = _kernel._weighted_median([lo, med, hi], np.array(w))
+        total = lo * w[0]
+        total += med * w[1]
+        total += hi * w[2]
+        want = np.clip(total, lo, hi)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), w
+
+
 def test_input_not_mutated():
     rng = np.random.default_rng(6)
     samples = rng.standard_normal((50, 9))
