@@ -305,7 +305,11 @@ class DistributionSpec:
                 raise DistributionSpecError(
                     f"{name} takes parameters {fam.params}, not {key!r}"
                 )
-            values[key] = float(val)
+            value = float(val)
+            if not math.isfinite(value):
+                raise DistributionSpecError(f"{name}: {key} must be finite, got {value!r}")
+            # + 0.0 turns -0.0 into 0.0: equal specs get one stream key and label.
+            values[key] = value + 0.0
         missing = [k for k in fam.params if k not in values]
         if missing:
             raise DistributionSpecError(f"{name} is missing parameters: {missing}")

@@ -34,10 +34,9 @@ WILLIAMS_BN = {2: 1.197, 3: 1.490, 4: 1.360, 5: 1.217, 6: 1.189, 7: 1.138, 8: 1.
 HAYES_ODD = (0.7635, 0.565)
 HAYES_EVEN = (0.7612, 1.123)
 
-# Park large-n forms for n > 100: C_n = 1 / (qnorm(0.75) * (1 + A_n)) with either
-# A_n = -0.76213/n - 0.86413/n^2 or A_n = -0.804168866 * n^(-1.008922).
+# Park's large-n form for n > 100: C_n = 1 / (qnorm(0.75) * (1 + A_n)) with
+# A_n = -0.76213/n - 0.86413/n^2.
 PARK_AN_HAYES = (-0.76213, -0.86413)
-PARK_AN_WILLIAMS = (-0.804168866, 1.008922)
 
 # Least-squares coefficients of A_n = alpha/n + beta/n^2 fitted on the table
 # rows with 100 < n <= 500; used by the default model for n > 100.

@@ -3,21 +3,22 @@
 ``mad_uncorrected`` is the raw median of absolute deviations from the
 median (both medians computed by the same estimator).  Multiplying by the
 sample-size-dependent factor C_n makes it an unbiased estimator of the
-standard deviation under normality; ``correction_factor`` resolves C_n
-from a pluggable :class:`FactorModel`.
+standard deviation under normality; ``correction_factor`` checks n >= 2
+and resolves C_n from a factor model: any function ``(n, kind) -> C_n``.
 
-The default model is a composite: the exact value sqrt(pi) at n = 2, the
-built-in tables for 3 <= n <= 100, and the fitted large-n equation
-C_n = 1 / (qnorm(0.75) * (1 + alpha/n + beta/n^2)) beyond.  The historical
-schemes of Croux-Rousseeuw, Williams, Hayes, and Park are provided for
-comparison; they predate the built-in tables and apply to the
-sample-median MAD only.
+The default model, ``DEFAULT_MODEL``, is a composite: the exact value
+sqrt(pi) at n = 2, the built-in tables for 3 <= n <= 100, and the fitted
+large-n equation C_n = 1 / (qnorm(0.75) * (1 + alpha/n + beta/n^2))
+beyond.  ``MODEL_CHOICES`` names it and the historical schemes of
+Croux-Rousseeuw, Williams, Hayes, and Park, provided for comparison; they
+predate the built-in tables and apply to the sample-median MAD only.
 """
 from __future__ import annotations
 
 import math
 import statistics
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,14 +36,6 @@ from madkit.quantiles import (
 
 __all__ = [
     "MadValue",
-    "FactorModel",
-    "DefaultFactors",
-    "FittedFactors",
-    "AsymptoticFactors",
-    "CrouxRousseeuwFactors",
-    "WilliamsFactors",
-    "HayesFactors",
-    "ParkFactors",
     "DEFAULT_MODEL",
     "MODEL_CHOICES",
     "asymptotic_factor",
@@ -79,142 +72,90 @@ def _table_key(kind: MedianEstimator) -> str:
     if kind.kind == "thd" and kind.width is not None:
         raise FactorRangeError(
             "built-in factors cover the 1/sqrt(n)-width thd estimator only; "
-            "supply a FittedFactors model calibrated for this width"
+            "pass a factor model function (n, kind) -> C_n calibrated for this width"
         )
     return kind.label
-
-
-def _hayes_form(n: int, alpha: float, beta: float) -> float:
-    return 1.0 / (_Q75 * (1.0 - alpha / n - beta / (n * n)))
 
 
 def _fitted_form(n: int, alpha: float, beta: float) -> float:
     return 1.0 / (_Q75 * (1.0 + alpha / n + beta / (n * n)))
 
 
-class FactorModel:
-    """Provider of bias-correction factors C_n."""
-
-    def factor(self, n: int, kind: MedianEstimator = SM) -> float:
-        raise NotImplementedError
-
-    def source(self, n: int) -> str:
-        """Where ``factor(n, ...)`` comes from; "model" for any model but the default."""
-        return "model"
+def _default_source(n: int) -> str:
+    """"exact" at n = 2, "table" for 3 <= n <= 100, "fitted" beyond."""
+    if n == 2:
+        return "exact"
+    return "table" if n <= 100 else "fitted"
 
 
-class DefaultFactors(FactorModel):
-    """Composite model: exact at n = 2, table for n <= 100, fitted beyond."""
-
-    def source(self, n: int) -> str:
-        """"exact" at n = 2, "table" for 3 <= n <= 100, "fitted" beyond."""
-        _check_n(n)
-        if n == 2:
-            return "exact"
-        return "table" if n <= 100 else "fitted"
-
-    def factor(self, n: int, kind: MedianEstimator = SM) -> float:
-        source = self.source(n)
-        if source == "exact":
-            # The median of two points is their midpoint whatever the
-            # estimator, so the factor is estimator-independent and exact.
-            return math.sqrt(math.pi)
-        key = _table_key(kind)
-        if source == "table":
-            return _TABLES[key][n]
-        return _fitted_form(n, *tables.FITTED_COEFFS[key])
+def _default(n: int, kind: MedianEstimator) -> float:
+    """Exact at n = 2, the built-in table for n <= 100, fitted beyond."""
+    source = _default_source(n)
+    if source == "exact":
+        # The median of two points is their midpoint whatever the
+        # estimator, so the factor is estimator-independent and exact.
+        return math.sqrt(math.pi)
+    key = _table_key(kind)
+    if source == "table":
+        return _TABLES[key][n]
+    return _fitted_form(n, *tables.FITTED_COEFFS[key])
 
 
-@dataclass(frozen=True)
-class FittedFactors(FactorModel):
-    """The large-n prediction equation with explicit coefficients."""
-
-    alpha: float
-    beta: float
-
-    def factor(self, n: int, kind: MedianEstimator = SM) -> float:
-        _check_n(n)
-        return _fitted_form(n, self.alpha, self.beta)
-
-
-class AsymptoticFactors(FactorModel):
+def _asymptotic(n: int, kind: MedianEstimator) -> float:
     """The constant large-sample factor; biased for small n."""
-
-    def factor(self, n: int, kind: MedianEstimator = SM) -> float:
-        _check_n(n)
-        return asymptotic_factor()
+    return asymptotic_factor()
 
 
-class CrouxRousseeuwFactors(FactorModel):
-    """Historical scheme: C_n = b_n / qnorm(0.75), b_n = n/(n-0.8) past the table."""
-
-    def factor(self, n: int, kind: MedianEstimator = SM) -> float:
-        _check_n(n)
-        b = tables.CROUX_BN[n] if n <= 9 else n / (n - 0.8)
-        return b / _Q75
+def _croux_rousseeuw(n: int, kind: MedianEstimator) -> float:
+    """C_n = b_n / qnorm(0.75), b_n from the table to n = 9, n/(n-0.8) beyond."""
+    b = tables.CROUX_BN[n] if n <= 9 else n / (n - 0.8)
+    return b / _Q75
 
 
-class WilliamsFactors(FactorModel):
-    """Refinement of the Croux-Rousseeuw scheme: b_n = n/(n-0.801) past the table."""
-
-    def factor(self, n: int, kind: MedianEstimator = SM) -> float:
-        _check_n(n)
-        b = tables.WILLIAMS_BN[n] if n <= 9 else n / (n - 0.801)
-        return b / _Q75
+def _williams(n: int, kind: MedianEstimator) -> float:
+    """Croux-Rousseeuw refined: b_n from the table to n = 9, n/(n-0.801) beyond."""
+    b = tables.WILLIAMS_BN[n] if n <= 9 else n / (n - 0.801)
+    return b / _Q75
 
 
-class HayesFactors(FactorModel):
+def _hayes(n: int, kind: MedianEstimator) -> float:
     """Parity-dependent prediction equation, valid for n >= 9."""
-
-    def factor(self, n: int, kind: MedianEstimator = SM) -> float:
-        if n < 9:
-            raise FactorRangeError(f"the Hayes scheme requires n >= 9, got {n}")
-        alpha, beta = tables.HAYES_ODD if n % 2 else tables.HAYES_EVEN
-        return _hayes_form(n, alpha, beta)
+    if n < 9:
+        raise FactorRangeError(f"the Hayes scheme requires n >= 9, got {n}")
+    alpha, beta = tables.HAYES_ODD if n % 2 else tables.HAYES_EVEN
+    return 1.0 / (_Q75 * (1.0 - alpha / n - beta / (n * n)))
 
 
-@dataclass(frozen=True)
-class ParkFactors(FactorModel):
-    """Park's aggregated table for n <= 100 plus either large-n form.
-
-    ``variant`` picks the n > 100 equation: "hayes" (default) or
-    "williams"; the two agree to within a few 1e-5.
-    """
-
-    variant: str = "hayes"
-
-    def factor(self, n: int, kind: MedianEstimator = SM) -> float:
-        _check_n(n)
-        if n <= 100:
-            return tables.PARK_FACTORS[n]
-        if self.variant == "hayes":
-            alpha, beta = tables.PARK_AN_HAYES
-            a_n = alpha / n + beta / (n * n)
-        elif self.variant == "williams":
-            coef, power = tables.PARK_AN_WILLIAMS
-            a_n = coef * n ** (-power)
-        else:
-            raise FactorRangeError(f"unknown Park variant {self.variant!r}")
-        return 1.0 / (_Q75 * (1.0 + a_n))
+def _park(n: int, kind: MedianEstimator) -> float:
+    """Park's aggregated table for n <= 100, the Hayes-style form beyond."""
+    if n <= 100:
+        return tables.PARK_FACTORS[n]
+    alpha, beta = tables.PARK_AN_HAYES
+    a_n = alpha / n + beta / (n * n)
+    return 1.0 / (_Q75 * (1.0 + a_n))
 
 
-DEFAULT_MODEL = DefaultFactors()
+DEFAULT_MODEL = _default
 
+# The historical schemes apply to the sample-median MAD only and ignore ``kind``.
 MODEL_CHOICES = {
     "default": DEFAULT_MODEL,
-    "asymptotic": AsymptoticFactors(),
-    "croux-rousseeuw": CrouxRousseeuwFactors(),
-    "williams": WilliamsFactors(),
-    "hayes": HayesFactors(),
-    "park": ParkFactors(),
+    "asymptotic": _asymptotic,
+    "croux-rousseeuw": _croux_rousseeuw,
+    "williams": _williams,
+    "hayes": _hayes,
+    "park": _park,
 }
+
+_Model = Callable[[int, MedianEstimator], float]
 
 
 def correction_factor(
-    n: int, kind: MedianEstimator = SM, model: FactorModel = DEFAULT_MODEL
+    n: int, kind: MedianEstimator = SM, model: _Model = DEFAULT_MODEL
 ) -> float:
     """Bias-correction factor C_n for the given estimator under ``model``."""
-    return model.factor(n, kind)
+    _check_n(n)
+    return model(n, kind)
 
 
 @dataclass(frozen=True)
@@ -270,7 +211,7 @@ def mad_uncorrected(x: SampleLike, kind: MedianEstimator = SM) -> float:
 
 
 def mad_corrected(
-    x: SampleLike, kind: MedianEstimator = SM, model: FactorModel = DEFAULT_MODEL
+    x: SampleLike, kind: MedianEstimator = SM, model: _Model = DEFAULT_MODEL
 ) -> MadValue:
     """Bias-corrected MAD: C_n times the raw MAD; ``DomainError`` if that overflows."""
     values = _values(x)
@@ -286,7 +227,7 @@ def mad_corrected(
         corrected=corrected,
         n=n,
         estimator=kind,
-        factor_source=model.source(n),
+        factor_source=_default_source(n) if model is DEFAULT_MODEL else "model",
     )
 
 

@@ -171,6 +171,24 @@ class TestMadCommand:
         assert (code, out) == (2, "")
         assert err == f"madkit: {path}: byte 5: 0xff is not valid UTF-8\n"
 
+    @pytest.mark.parametrize("model,row", [
+        ("default", "150,thd-sqrt,6.355901967,1.489835276,9.469246961"),
+        ("asymptotic", "150,thd-sqrt,6.355901967,1.482602219,9.423274356"),
+        ("croux-rousseeuw", "150,thd-sqrt,6.355901967,1.490551828,9.473801297"),
+        ("williams", "150,thd-sqrt,6.355901967,1.490561819,9.473864794"),
+        ("hayes", "150,thd-sqrt,6.355901967,1.490239064,9.471813401"),
+        ("park", "150,thd-sqrt,6.355901967,1.490231118,9.471762891"),
+    ])
+    def test_every_model_pinned(self, model, row, capsys, tmp_path):
+        path = tmp_path / "n150.txt"
+        path.write_text("\n".join(str((i * 37) % 101 / 4) for i in range(150)) + "\n")
+        code, out, err = run_cli(["mad", str(path), "--csv", "--model", model], capsys)
+        assert (code, out, err) == (0, f"n,estimator,mad0,factor,mad\n{row}\n", "")
+
+    def test_hayes_below_its_range_exits_2(self, capsys, monkeypatch):
+        result = run_cli(["mad", "-", "--csv", "--model", "hayes"], capsys, "0 1 2 3 4", monkeypatch)
+        assert result == (2, "", "madkit: the Hayes scheme requires n >= 9, got 5\n")
+
     def test_legacy_model_flag(self, capsys, monkeypatch):
         code, out, _ = run_cli(
             ["mad", "--csv", "--estimator", "sm", "--model", "park"], capsys, "0 1", monkeypatch
@@ -397,6 +415,21 @@ class TestSensitivityCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["sensitivity", "--n", "5", "--reps", "200", "--dist", "wat(x=1)"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("spec", ["normal(m=nan,sd=1)", "uniform(a=0,b=inf)",
+                                      "constant(value=inf)"])
+    def test_non_finite_parameter_exits_2_before_drawing(self, spec, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sensitivity", "--n", "5", "--reps", "200", "--seed", "1", "--dist", spec])
+        assert excinfo.value.code == 2
+        assert "the corrected MADs" not in capsys.readouterr().err
+
+    def test_negative_zero_spec_gives_the_rows_of_zero(self, capsys):
+        argv = ["sensitivity", "--n", "5", "--reps", "200", "--seed", "1", "--estimators", "sm"]
+        outputs = [run_cli(argv + ["--dist", spec], capsys)
+                   for spec in ("normal(m=-0,sd=1)", "normal(m=0,sd=1)")]
+        assert outputs[0] == outputs[1]
+        assert "normal(m=0,sd=1),5,sm,sd,0.5889473384\n" in outputs[0][1]
 
     # Valid specs whose draws, deviations or spread overflow float64: a
     # domain error naming the spec and n, with no NumPy warning (a warning

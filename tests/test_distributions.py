@@ -9,6 +9,7 @@ from scipy import stats
 
 from madkit._kernel import _BLOCK_VALUES
 from madkit.distributions import (
+    _FAMILIES,
     DEFAULT_SENSITIVITY_SET,
     DistributionSpec,
     RngStream,
@@ -83,6 +84,23 @@ class TestParsing:
     def test_rejects(self, bad):
         with pytest.raises(DistributionSpecError):
             parse_spec(bad)
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_parameters(self, family, value):
+        valid = {spec.family: dict(spec.params) for spec in DEFAULT_SENSITIVITY_SET}
+        valid["constant"] = {"value": 0.0}
+        for param in _FAMILIES[family].params:
+            args = ",".join(f"{k}={value if k == param else repr(v)}" for k, v in valid[family].items())
+            with pytest.raises(DistributionSpecError, match=f"^{family}: {param} must be finite"):
+                parse_spec(f"{family}({args})")
+
+    def test_negative_zero_parameter_is_zero(self):
+        spec = parse_spec("normal(m=-0,sd=1)")
+        assert spec == parse_spec("normal(m=0,sd=1)")
+        assert math.copysign(1.0, dict(spec.params)["m"]) == 1.0
+        assert str(spec) == "normal(m=0,sd=1)"
+        assert str(DistributionSpec.make("uniform", a=-0.0, b=1.0)) == "uniform(a=0,b=1)"
 
     def test_sensitivity_set_has_twenty(self):
         assert len(DEFAULT_SENSITIVITY_SET) == 20

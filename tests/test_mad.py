@@ -12,12 +12,7 @@ from madkit.errors import DomainError, FactorRangeError, SampleError
 from madkit.mad import (
     _Q75,
     DEFAULT_MODEL,
-    AsymptoticFactors,
-    CrouxRousseeuwFactors,
-    FittedFactors,
-    HayesFactors,
-    ParkFactors,
-    WilliamsFactors,
+    MODEL_CHOICES,
     asymptotic_factor,
     correction_factor,
     factor_table,
@@ -26,6 +21,7 @@ from madkit.mad import (
     mad_uncorrected,
 )
 from madkit.quantiles import HD, SM, THD_SQRT, Sample, thd
+from madkit.simulate import fit_prediction
 
 Q75 = 0.674489750196082
 ALL_KINDS = (SM, HD, THD_SQRT)
@@ -149,8 +145,11 @@ class TestDefaultModel:
             correction_factor(10, thd(0.3))
 
     def test_custom_thd_width_works_with_user_fitted_model(self):
-        model = FittedFactors(-0.7, -3.0)
-        assert correction_factor(50, thd(0.3), model) > 1.0
+        fit = fit_prediction({n: 1.0 / (Q75 * (1.0 - 0.7 / n - 3.0 / (n * n)))
+                              for n in (150, 200, 300, 500)})
+        assert correction_factor(50, thd(0.3), lambda n, kind: fit.predict(n)) > 1.0
+        with pytest.raises(FactorRangeError):
+            correction_factor(1, thd(0.3), lambda n, kind: fit.predict(n))
 
 
 class TestFactorTables:
@@ -226,61 +225,64 @@ class TestFactorTables:
             factor_table("weird")
 
 
+def legacy(name, n, kind=SM):
+    return correction_factor(n, kind, MODEL_CHOICES[name])
+
+
 class TestLegacyModels:
+    def test_registry(self):
+        assert sorted(MODEL_CHOICES) == [
+            "asymptotic", "croux-rousseeuw", "default", "hayes", "park", "williams"
+        ]
+        assert MODEL_CHOICES["default"] is DEFAULT_MODEL
+
     def test_asymptotic_is_constant(self):
-        model = AsymptoticFactors()
-        assert model.factor(2, SM) == model.factor(5000, HD) == asymptotic_factor()
+        assert legacy("asymptotic", 2, SM) == legacy("asymptotic", 5000, HD) == asymptotic_factor()
 
     @pytest.mark.parametrize("n,expected_b", [(2, 1.196), (9, 1.107)])
     def test_croux_rousseeuw_table(self, n, expected_b):
-        assert CrouxRousseeuwFactors().factor(n, SM) == pytest.approx(
-            expected_b / Q75, abs=1e-12
-        )
+        assert legacy("croux-rousseeuw", n) == pytest.approx(expected_b / Q75, abs=1e-12)
 
     def test_croux_rousseeuw_formula(self):
-        assert CrouxRousseeuwFactors().factor(20, SM) == pytest.approx(
-            (20 / 19.2) / Q75, abs=1e-12
-        )
+        assert legacy("croux-rousseeuw", 20) == pytest.approx((20 / 19.2) / Q75, abs=1e-12)
 
     @pytest.mark.parametrize("n,expected_b", [(2, 1.197), (9, 1.101)])
     def test_williams_table(self, n, expected_b):
-        assert WilliamsFactors().factor(n, SM) == pytest.approx(expected_b / Q75, abs=1e-12)
+        assert legacy("williams", n) == pytest.approx(expected_b / Q75, abs=1e-12)
 
     def test_williams_formula(self):
-        assert WilliamsFactors().factor(20, SM) == pytest.approx(
-            (20 / 19.199) / Q75, abs=1e-12
-        )
+        assert legacy("williams", 20) == pytest.approx((20 / 19.199) / Q75, abs=1e-12)
 
     def test_hayes_odd_n9(self):
         expected = 1.0 / (Q75 * (1.0 - 0.7635 / 9 - 0.565 / 81))
-        assert HayesFactors().factor(9, SM) == pytest.approx(expected, abs=1e-12)
+        assert legacy("hayes", 9) == pytest.approx(expected, abs=1e-12)
 
     def test_hayes_even(self):
         expected = 1.0 / (Q75 * (1.0 - 0.7612 / 10 - 1.123 / 100))
-        assert HayesFactors().factor(10, SM) == pytest.approx(expected, abs=1e-12)
+        assert legacy("hayes", 10) == pytest.approx(expected, abs=1e-12)
 
     def test_hayes_below_range(self):
-        with pytest.raises(FactorRangeError):
-            HayesFactors().factor(8, SM)
+        with pytest.raises(FactorRangeError, match="Hayes scheme requires n >= 9, got 8"):
+            legacy("hayes", 8)
 
     def test_park_table_and_formulas(self):
-        park = ParkFactors()
-        assert park.factor(2, SM) == 1.7722
-        assert park.factor(100, SM) == 1.4942
-        hayes_form = park.factor(200, SM)
-        williams_form = ParkFactors(variant="williams").factor(200, SM)
+        assert legacy("park", 2) == 1.7722
+        assert legacy("park", 100) == 1.4942
+        hayes_form = legacy("park", 200)
+        # Park's other large-n form, A_n = -0.804168866 * n^(-1.008922).
+        williams_form = 1.0 / (Q75 * (1.0 + -0.804168866 * 200 ** (-1.008922)))
         assert hayes_form == pytest.approx(williams_form, abs=1e-4)
         # near the tabulated 1.4883 at n=200
         assert hayes_form == pytest.approx(1.4883, abs=5e-4)
 
-    def test_park_unknown_variant(self):
+    @pytest.mark.parametrize("name", sorted(MODEL_CHOICES))
+    def test_every_model_rejects_n_below_two(self, name):
         with pytest.raises(FactorRangeError):
-            ParkFactors(variant="other").factor(200, SM)
+            legacy(name, 1)
 
     def test_legacy_models_ignore_estimator_kind(self):
-        for model in (CrouxRousseeuwFactors(), WilliamsFactors(), HayesFactors(),
-                      ParkFactors()):
-            assert model.factor(12, SM) == model.factor(12, HD)
+        for name in ("croux-rousseeuw", "williams", "hayes", "park"):
+            assert legacy(name, 12, SM) == legacy(name, 12, HD)
 
 
 class TestAsymptoticFactor:
@@ -348,7 +350,9 @@ class TestMadCorrected:
             assert result.factor == correction_factor(n, kind)
 
     @pytest.mark.parametrize(
-        "model", [ParkFactors(), AsymptoticFactors(), FittedFactors(0.5, 0.1)]
+        "model",
+        [MODEL_CHOICES["park"], MODEL_CHOICES["asymptotic"],
+         lambda n, kind: 1.0 / (Q75 * (1.0 + 0.5 / n + 0.1 / (n * n)))],
     )
     def test_factor_source_of_other_models(self, model):
         for n in (2, 100, 101):

@@ -427,6 +427,13 @@ class TestSubsetRuns:
         canonical = (parse_spec("normal(m=0,sd=1)"), parse_spec("exp(rate=1)"))
         assert self.sensitivity_rows(spelled) == self.sensitivity_rows(canonical)
 
+    def test_negative_zero_parameter_is_not_part_of_its_key(self):
+        # -0.0 == 0.0, so the two specs are one distribution: one stream, one label.
+        signed = (parse_spec("normal(m=-0,sd=1)"), parse_spec("uniform(a=-0.0,b=1)"))
+        unsigned = (parse_spec("normal(m=0,sd=1)"), parse_spec("uniform(a=0,b=1)"))
+        assert [simulate._spec_key(d) for d in signed] == [simulate._spec_key(d) for d in unsigned]
+        assert self.sensitivity_rows(signed) == self.sensitivity_rows(unsigned)
+
     def test_sensitivity_body_does_not_depend_on_the_hash_seed(self):
         # The builtin str hash is salted per process; a key built from it
         # would change with PYTHONHASHSEED.
