@@ -27,6 +27,7 @@ import numpy as np
 import madkit
 from madkit.distributions import DEFAULT_SENSITIVITY_SET, parse_spec
 from madkit.errors import InternalCheckError, MadkitError
+from madkit.factor_tables import TABLES
 from madkit.mad import MODEL_CHOICES, factor_table, mad_corrected
 from madkit.quantiles import THD_SQRT, parse_estimator
 from madkit.simulate import (
@@ -40,6 +41,19 @@ from madkit.simulate import (
 )
 
 
+def _typed(parse):
+    """``parse`` as an argparse type: its ``MadkitError`` text becomes the usage error."""
+
+    @functools.wraps(parse)
+    def convert(text: str):
+        try:
+            return parse(text)
+        except MadkitError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip()]
@@ -47,6 +61,7 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+@_typed
 def _estimator_list(text: str):
     return [parse_estimator(part) for part in text.split(",") if part.strip()]
 
@@ -67,6 +82,7 @@ def _split_top_level(text: str) -> list[str]:
     return [p for p in (s.strip() for s in parts) if p]
 
 
+@_typed
 def _dist_list(text: str):
     return [parse_spec(part) for part in _split_top_level(text)]
 
@@ -214,7 +230,8 @@ def _provenance(config: SimulationConfig) -> str:
     )
 
 
-def _add_sim_flags(parser, default_reps: int, estimators: bool = False) -> None:
+def _add_sim_flags(parser, default_reps: int, estimators: str = "") -> None:
+    """The flags every study takes; ``estimators``, if given, is the help of ``--estimators``."""
     parser.add_argument("--n", type=_int_list, required=True, metavar="LIST",
                         help="comma-separated sample sizes, e.g. 2,3,5,10")
     parser.add_argument("--reps", type=int, default=default_reps,
@@ -222,10 +239,9 @@ def _add_sim_flags(parser, default_reps: int, estimators: bool = False) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     if estimators:
         parser.add_argument("--estimators", type=_estimator_list, default=None, metavar="LIST",
-                            help="sm, hd, thd-sqrt or thd(W), each at most once "
-                                 "(default: sm,hd,thd-sqrt)")
-    parser.add_argument("--chunk-size", type=int, default=16384,
-                        help="repetitions per work chunk (default 16384)")
+                            help=estimators)
+    parser.add_argument("--chunk-size", type=int, default=SimulationConfig.chunk_size,
+                        help="repetitions per work chunk (default %(default)s)")
     parser.add_argument("--threads", type=_positive_int, default=None,
                         help="worker threads; results do not depend on this "
                              "(default: MADKIT_THREADS or 1)")
@@ -250,20 +266,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mad = sub.add_parser("mad", help="corrected MAD of input numbers")
     p_mad.add_argument("input", nargs="?", default="-",
                        help="input file of numbers, or - for stdin (default)")
-    p_mad.add_argument("--estimator", type=parse_estimator, default=THD_SQRT,
-                       help="sm, hd, thd-sqrt, or thd(W) (default thd-sqrt)")
+    p_mad.add_argument("--estimator", type=_typed(parse_estimator), default=THD_SQRT,
+                       help="sm, hd, thd-sqrt, or thd(W) (default thd-sqrt); thd(W) needs a "
+                            "width-free --model: the default has no factors for it")
     p_mad.add_argument("--model", choices=sorted(MODEL_CHOICES), default="default",
                        help="correction-factor model (default: default)")
     p_mad.add_argument("--csv", action="store_true", help="emit CSV instead of the key/value form")
 
     p_factors = sub.add_parser("factors", help="Monte-Carlo correction factors")
-    _add_sim_flags(p_factors, default_reps=1_000_000, estimators=True)
+    _add_sim_flags(p_factors, default_reps=1_000_000,
+                   estimators="sm, hd, thd-sqrt or thd(W), each at most once "
+                              "(default: sm,hd,thd-sqrt)")
 
     p_eff = sub.add_parser("efficiency", help="relative efficiency vs the sm baseline")
     _add_sim_flags(p_eff, default_reps=10_000)
 
     p_sens = sub.add_parser("sensitivity", help="dispersion of MAD estimates per distribution")
-    _add_sim_flags(p_sens, default_reps=1_000, estimators=True)
+    _add_sim_flags(p_sens, default_reps=1_000,
+                   estimators="sm, hd or thd-sqrt, each at most once (default: sm,hd,"
+                              "thd-sqrt); thd(W) has no factors past n = 2: widths are "
+                              "for factors")
     p_sens.add_argument("--dist", type=_dist_list, default=DEFAULT_SENSITIVITY_SET,
                         metavar="SPECS",
                         help="comma-separated distribution specs, e.g. "
@@ -271,13 +293,13 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default: the built-in 20-distribution set)")
 
     p_fit = sub.add_parser("fit", help="fit the large-n prediction equation to a table")
-    p_fit.add_argument("--estimator", choices=("sm", "hd", "thd-sqrt", "park"), default="sm")
+    p_fit.add_argument("--estimator", choices=tuple(TABLES), default="sm")
     p_fit.add_argument("--range", type=_range, default=(100.0, 500.0), metavar="LOW..HIGH",
                        help="fit on tabulated sizes with LOW < n <= HIGH (default 100..500)")
     p_fit.add_argument("--out", default=None, metavar="PATH")
 
     p_tables = sub.add_parser("tables", help="dump a built-in factor table as CSV")
-    p_tables.add_argument("--estimator", choices=("sm", "hd", "thd-sqrt", "park"), default="sm")
+    p_tables.add_argument("--estimator", choices=tuple(TABLES), default="sm")
     p_tables.add_argument("--out", default=None, metavar="PATH")
 
     return parser

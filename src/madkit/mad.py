@@ -43,17 +43,9 @@ __all__ = [
     "mad_uncorrected",
     "mad_corrected",
     "factor_table",
-    "factor_table_csv_path",
 ]
 
 _Q75 = statistics.NormalDist().inv_cdf(0.75)  # correctly rounded
-
-_TABLES = {
-    "sm": tables.SM_FACTORS,
-    "hd": tables.HD_FACTORS,
-    "thd-sqrt": tables.THD_SQRT_FACTORS,
-    "park": tables.PARK_FACTORS,
-}
 
 
 def asymptotic_factor() -> float:
@@ -97,7 +89,7 @@ def _default(n: int, kind: MedianEstimator) -> float:
         return math.sqrt(math.pi)
     key = _table_key(kind)
     if source == "table":
-        return _TABLES[key][n]
+        return tables.TABLES[key][n]
     return _fitted_form(n, *tables.FITTED_COEFFS[key])
 
 
@@ -129,7 +121,7 @@ def _hayes(n: int, kind: MedianEstimator) -> float:
 def _park(n: int, kind: MedianEstimator) -> float:
     """Park's aggregated table for n <= 100, the Hayes-style form beyond."""
     if n <= 100:
-        return tables.PARK_FACTORS[n]
+        return tables.TABLES["park"][n]
     alpha, beta = tables.PARK_AN_HAYES
     a_n = alpha / n + beta / (n * n)
     return 1.0 / (_Q75 * (1.0 + a_n))
@@ -232,13 +224,8 @@ def mad_corrected(
 
 
 def factor_table(kind_label: str) -> dict[int, float]:
-    """The built-in factor table for 'sm', 'hd', 'thd-sqrt', or 'park'."""
+    """A copy of the built-in factor table of that name, a key of ``factor_tables.TABLES``."""
     try:
-        return dict(_TABLES[kind_label])
+        return dict(tables.TABLES[kind_label])
     except KeyError:
         raise FactorRangeError(f"no built-in table named {kind_label!r}") from None
-
-
-def factor_table_csv_path():
-    """Path to the shipped CSV that holds the factor tables."""
-    return tables.CSV_PATH

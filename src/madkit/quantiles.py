@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -164,9 +164,10 @@ def parse_estimator(text: str) -> MedianEstimator:
         return THD_SQRT
     if s.startswith("thd(") and s.endswith(")"):
         try:
-            return thd(float(s[4:-1]))
+            width = float(s[4:-1])
         except ValueError as exc:
             raise DomainError(f"bad thd width in {text!r}") from exc
+        return thd(width)  # a width outside (0, 1] raises, naming the range
     raise DomainError(f"unknown estimator {text!r} (expected sm, hd, thd-sqrt, or thd(w))")
 
 
@@ -175,9 +176,11 @@ def _require_nonempty(x: Sample) -> None:
         raise SampleError("estimate requires a nonempty sample")
 
 
-def _estimate(w: np.ndarray, x: Sample) -> float:
-    """The kernel's clamped sum of weights times order statistics, for one sample."""
-    return float(_weighted_median(x.values[:, None], w)[0])
+def _estimate(x: SampleLike, weights_of_n: Callable[[int], np.ndarray]) -> float:
+    """The kernel's clamped sum of ``weights_of_n(n)`` times the order statistics of x."""
+    x = as_sample(x)
+    _require_nonempty(x)
+    return float(_weighted_median(x.values[:, None], weights_of_n(x.n))[0])
 
 
 def _check_open_prob(p: float) -> None:
@@ -299,8 +302,12 @@ def _cdf_window(n: int, p: float, width: Optional[float]):
     return first, window
 
 
-def _dense_weights(n: int, p: float, first: int, window: np.ndarray) -> np.ndarray:
-    """Read-only weights: differences of the CDF rebuilt on the full grid."""
+def _weights(n: int, p: float, width: Optional[float]) -> np.ndarray:
+    """Fresh read-only HD (``width`` None) or THD weights from the cached ``_cdf_window``."""
+    if n < 1:
+        raise SampleError(f"need n >= 1, got {n}")
+    _check_open_prob(p)
+    first, window = _cdf_window(n, p, width)
     cdf = np.zeros(n + 1)
     stop = first + window.size
     cdf[first:stop] = window
@@ -321,18 +328,12 @@ def hd_weights(n: int, p: float) -> np.ndarray:
     Windows are kept in a small bounded cache; the returned dense array is
     fresh and read-only.
     """
-    if n < 1:
-        raise SampleError(f"need n >= 1, got {n}")
-    _check_open_prob(p)
-    first, window = _cdf_window(n, p, None)
-    return _dense_weights(n, p, first, window)
+    return _weights(n, p, None)
 
 
 def hd_quantile(x: SampleLike, p: float) -> float:
     """Harrell-Davis quantile estimate: weighted sum of all order statistics."""
-    x = as_sample(x)
-    _require_nonempty(x)
-    return _estimate(hd_weights(x.n, p), x)
+    return _estimate(x, lambda n: hd_weights(n, p))
 
 
 def beta_hdi(params: BetaParams, width: float) -> Optional[tuple[float, float]]:
@@ -391,27 +392,19 @@ def thd_weights(n: int, p: float, width: float) -> np.ndarray:
     fresh and read-only.  Degenerate HDI falls back to the untrimmed
     weights.
     """
-    if n < 1:
-        raise SampleError(f"need n >= 1, got {n}")
-    _check_open_prob(p)
-    first, window = _cdf_window(n, p, width)
-    return _dense_weights(n, p, first, window)
+    return _weights(n, p, width)
 
 
 def thd_quantile(x: SampleLike, p: float, width: Optional[float] = None) -> float:
     """Trimmed Harrell-Davis quantile estimate; width defaults to 1/sqrt(n)."""
-    x = as_sample(x)
-    _require_nonempty(x)
-    if width is None:
-        width = THD_SQRT.resolve_width(x.n)
-    return _estimate(thd_weights(x.n, p, width), x)
+    return _estimate(
+        x, lambda n: thd_weights(n, p, THD_SQRT.resolve_width(n) if width is None else width)
+    )
 
 
 def median(x: SampleLike, kind: MedianEstimator = SM) -> float:
     """Median estimate: the clamped sum of ``median_weights(n, kind)`` times sorted x."""
-    x = as_sample(x)
-    _require_nonempty(x)
-    return _estimate(median_weights(x.n, kind), x)
+    return _estimate(x, lambda n: median_weights(n, kind))
 
 
 def median_weights(n: int, kind: MedianEstimator = SM) -> np.ndarray:

@@ -166,47 +166,34 @@ class SensitivityRow(NamedTuple):
     dispersion: float
 
 
-def _csv(header: str, rows: Iterable[tuple]) -> str:
-    lines = [header]
-    for row in rows:
-        cells = []
-        for value in row:
-            if isinstance(value, float):
-                cells.append(_FLOAT_FMT % value)
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
+def _csv(rows: Sequence[NamedTuple]) -> str:
+    """``rows``, at least one, as CSV headed by their field names."""
+    lines = [",".join(rows[0]._fields)]
+    lines += [",".join(_FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
     return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
-class FactorReport:
+class _Report:
+    """A study's rows, in report order; its CSV header is their field names."""
+
+    rows: tuple
+
+    def to_csv(self) -> str:
+        return _csv(self.rows)
+
+
+class FactorReport(_Report):
     rows: tuple[FactorRow, ...]
-    config: SimulationConfig
-
-    def to_csv(self) -> str:
-        return _csv("n,estimator,m_n,c_n,std_error,repetitions", self.rows)
-
-    def factors(self, estimator_label: str) -> dict[int, float]:
-        return {r.n: r.c_n for r in self.rows if r.estimator == estimator_label}
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
+class EfficiencyReport(_Report):
     rows: tuple[EfficiencyRow, ...]
-    config: SimulationConfig
-
-    def to_csv(self) -> str:
-        return _csv("n,var_sm,var_hd,var_thd,e_hd,e_thd", self.rows)
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
+class SensitivityReport(_Report):
     rows: tuple[SensitivityRow, ...]
-    config: SimulationConfig
-
-    def to_csv(self) -> str:
-        return _csv("distribution,n,estimator,aggregator,dispersion", self.rows)
 
 
 class FitResult(NamedTuple):
@@ -218,7 +205,7 @@ class FitResult(NamedTuple):
     n_high: float
 
     def to_csv(self) -> str:
-        return _csv("estimator,alpha,beta,residual_max,n_low,n_high", [self])
+        return _csv([self])
 
     def predict(self, n: int) -> float:
         return _fitted_form(n, self.alpha, self.beta)
@@ -361,7 +348,7 @@ def estimate_factors(config: SimulationConfig, threads: int = 1) -> FactorReport
         return rows
 
     rows = _run_cells(config, config.sample_sizes, prepare, aggregate, threads)
-    report = FactorReport(tuple(rows), config)
+    report = FactorReport(tuple(rows))
     _check_factor_report(report)
     return report
 
@@ -397,7 +384,7 @@ def efficiency(config: SimulationConfig, threads: int = 1) -> EfficiencyReport:
         return [EfficiencyRow(n, var_sm, var_hd, var_thd, var_sm / var_hd, var_sm / var_thd)]
 
     rows = _run_cells(config, config.sample_sizes, prepare, aggregate, threads)
-    report = EfficiencyReport(tuple(rows), config)
+    report = EfficiencyReport(tuple(rows))
     for row in report.rows:
         if not all(math.isfinite(v) and v > 0.0 for v in row[1:]):
             raise InternalCheckError(f"degenerate efficiency row {row}")
@@ -462,7 +449,7 @@ def sensitivity(config: SimulationConfig, threads: int = 1) -> SensitivityReport
 
     cells = [(dist, n) for dist in config.distributions for n in config.sample_sizes]
     rows = _run_cells(config, cells, prepare, aggregate, threads)
-    return SensitivityReport(tuple(rows), config)
+    return SensitivityReport(tuple(rows))
 
 
 def fit_prediction(

@@ -21,7 +21,6 @@ from madkit.mad import (
     asymptotic_factor,
     correction_factor,
     factor_table,
-    factor_table_csv_path,
     mad_corrected,
     mad_uncorrected,
 )
@@ -51,9 +50,9 @@ from madkit.specfun import BetaParams, reg_inc_beta
 
 ALL_KINDS = (SM, HD, THD_SQRT)
 KIND_TABLES = {
-    "sm": tables.SM_FACTORS,
-    "hd": tables.HD_FACTORS,
-    "thd-sqrt": tables.THD_SQRT_FACTORS,
+    "sm": tables.TABLES["sm"],
+    "hd": tables.TABLES["hd"],
+    "thd-sqrt": tables.TABLES["thd-sqrt"],
 }
 
 
@@ -82,19 +81,19 @@ def test_criterion_03_table_fidelity():
     assert correction_factor(20, THD_SQRT) == 1.5449
     assert factor_table("sm")[3000] == 1.4830
     # structural fidelity of every embedded table
-    for table in (tables.SM_FACTORS, tables.HD_FACTORS, tables.THD_SQRT_FACTORS):
+    for table in (tables.TABLES["sm"], tables.TABLES["hd"], tables.TABLES["thd-sqrt"]):
         assert len(table) == 139
         assert all(n in table for n in range(2, 101))
         assert all(v == round(v, 4) for v in table.values())
-    assert len(tables.PARK_FACTORS) == 131
+    assert len(tables.TABLES["park"]) == 131
     assert max(
-        abs(tables.PARK_FACTORS[n] - tables.SM_FACTORS[n]) for n in range(2, 101)
+        abs(tables.TABLES["park"][n] - tables.TABLES["sm"][n]) for n in range(2, 101)
     ) <= 0.00065
     # the shipped CSV is bit-identical to the embedded constants
-    columns = {"c_sm": tables.SM_FACTORS, "c_hd": tables.HD_FACTORS,
-               "c_thd_sqrt": tables.THD_SQRT_FACTORS, "c_park": tables.PARK_FACTORS}
+    columns = {"c_sm": tables.TABLES["sm"], "c_hd": tables.TABLES["hd"],
+               "c_thd_sqrt": tables.TABLES["thd-sqrt"], "c_park": tables.TABLES["park"]}
     seen = {key: {} for key in columns}
-    with factor_table_csv_path().open("r", encoding="utf-8") as fh:
+    with tables.CSV_PATH.open("r", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             for key in columns:
                 if row[key]:
@@ -139,7 +138,7 @@ def test_criterion_05_structural_identities():
     med_sm = [median(Sample(r), SM) for r in x4]
     med_thd = [median(Sample(r), THD_SQRT) for r in x4]
     assert med_sm == med_thd
-    assert tables.SM_FACTORS[4] == tables.THD_SQRT_FACTORS[4] == 2.0172
+    assert tables.TABLES["sm"][4] == tables.TABLES["thd-sqrt"][4] == 2.0172
     report("PASS [5] structural identities: n=2 all-estimator collapse, "
            "n=4 thd-sqrt == sm (both tables print 2.0172)")
 

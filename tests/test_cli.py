@@ -1,4 +1,5 @@
 """End-to-end CLI behavior: output formats, exit codes, reproducibility."""
+import argparse
 import math
 import os
 import stat
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 import madkit
-from madkit.cli import main
+from madkit.cli import _build_parser, main
+from madkit.factor_tables import TABLES
+from madkit.mad import factor_table
 from madkit.distributions import DEFAULT_SENSITIVITY_SET, parse_spec
 
 
@@ -472,14 +475,26 @@ class TestFitCommand:
 
 class TestTablesCommand:
     def test_dump_matches_embedded(self, capsys):
-        from madkit.mad import factor_table
-
         code, out, _ = run_cli(["tables", "--estimator", "hd"], capsys)
         assert code == 0
         lines = body_of(out).strip().splitlines()
         assert lines[0] == "n,c_n"
         parsed = {int(n): float(c) for n, c in (line.split(",") for line in lines[1:])}
         assert parsed == factor_table("hd")
+
+    @pytest.mark.parametrize("name", list(TABLES))
+    def test_every_table_printed(self, name, capsys):
+        code, out, err = run_cli(["tables", "--estimator", name], capsys)
+        rows = "".join(f"{n},{c:.4f}\n" for n, c in sorted(factor_table(name).items()))
+        assert (code, err) == (0, "")
+        assert out == f"# version={madkit.__version__}\nn,c_n\n" + rows
+
+    @pytest.mark.parametrize("command", ["tables", "fit"])
+    def test_estimator_choices_are_the_tables(self, command):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        estimator = next(a for a in sub.choices[command]._actions if a.dest == "estimator")
+        assert estimator.choices == tuple(TABLES) == ("sm", "hd", "thd-sqrt", "park")
 
 
 class TestUsageErrors:
@@ -510,6 +525,40 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["factors", "--n", "2;3"])
         assert excinfo.value.code == 2
+
+    # A flag whose value madkit rejects prints madkit's own message, which
+    # names the parameter or rule, as the usage error.
+    @pytest.mark.parametrize("argv, message", [
+        (["sensitivity", "--n", "5", "--dist", "uniform(a=1,b=0)"],
+         "argument --dist: uniform: need a < b"),
+        (["factors", "--n", "5", "--estimators", "sm,foo"],
+         "argument --estimators: unknown estimator 'foo' (expected sm, hd, thd-sqrt, or thd(w))"),
+        (["mad", "-", "--estimator", "thd(2)"],
+         "argument --estimator: thd width must lie in (0, 1], got 2.0"),
+    ])
+    def test_flag_value_error_names_the_rule(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(f"madkit {argv[0]}: error: {message}\n")
+
+    # The built-in factors have no table for a custom thd width, so a
+    # command that needs them at n >= 3 refuses it; factors, and mad with
+    # a width-free --model, take it.
+    @pytest.mark.parametrize("argv, stdin", [
+        (["sensitivity", "--n", "5", "--estimators", "thd(0.25)", "--dist", "normal"], None),
+        (["mad", "-", "--estimator", "thd(0.25)"], "3.1 2.9 3.4 7.0 3.0 4.2\n"),
+    ])
+    def test_custom_thd_width_needs_factors(self, argv, stdin, capsys, monkeypatch):
+        assert run_cli(argv, capsys, stdin, monkeypatch) == (
+            2, "", "madkit: built-in factors cover the 1/sqrt(n)-width thd estimator only; "
+                   "pass a factor model function (n, kind) -> C_n calibrated for this width\n")
+
+    def test_custom_thd_width_with_width_free_model(self, capsys, monkeypatch):
+        argv = ["mad", "-", "--estimator", "thd(0.25)", "--model", "asymptotic", "--csv"]
+        code, out, _ = run_cli(argv, capsys, "3.1 2.9 3.4 7.0 3.0 4.2\n", monkeypatch)
+        assert code == 0
+        assert out.splitlines()[1] == "6,thd(0.25),0.3,1.482602219,0.4447806656"
 
 
 class TestParserReuse:

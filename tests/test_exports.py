@@ -33,7 +33,6 @@ def test_mad_exports():
         "asymptotic_factor",
         "correction_factor",
         "factor_table",
-        "factor_table_csv_path",
         "mad_corrected",
         "mad_uncorrected",
     ]

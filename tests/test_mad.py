@@ -13,10 +13,10 @@ from madkit.mad import (
     _Q75,
     DEFAULT_MODEL,
     MODEL_CHOICES,
+    _fitted_form,
     asymptotic_factor,
     correction_factor,
     factor_table,
-    factor_table_csv_path,
     mad_corrected,
     mad_uncorrected,
 )
@@ -154,19 +154,17 @@ class TestDefaultModel:
 
 class TestFactorTables:
     def test_row_counts(self):
-        assert len(tables.SM_FACTORS) == 139
-        assert len(tables.HD_FACTORS) == 139
-        assert len(tables.THD_SQRT_FACTORS) == 139
-        assert len(tables.PARK_FACTORS) == 131
+        assert len(tables.TABLES["sm"]) == 139
+        assert len(tables.TABLES["hd"]) == 139
+        assert len(tables.TABLES["thd-sqrt"]) == 139
+        assert len(tables.TABLES["park"]) == 131
 
     def test_full_coverage_2_to_100(self):
-        for table in (tables.SM_FACTORS, tables.HD_FACTORS, tables.THD_SQRT_FACTORS,
-                      tables.PARK_FACTORS):
+        for table in tables.TABLES.values():
             assert all(n in table for n in range(2, 101))
 
     def test_values_are_four_decimal(self):
-        for table in (tables.SM_FACTORS, tables.HD_FACTORS, tables.THD_SQRT_FACTORS,
-                      tables.PARK_FACTORS):
+        for table in tables.TABLES.values():
             for value in table.values():
                 assert value == round(value, 4)
 
@@ -188,30 +186,30 @@ class TestFactorTables:
 
     def test_all_exceed_asymptote(self):
         c_inf = asymptotic_factor()
-        for table in (tables.SM_FACTORS, tables.HD_FACTORS, tables.THD_SQRT_FACTORS):
+        for table in (tables.TABLES["sm"], tables.TABLES["hd"], tables.TABLES["thd-sqrt"]):
             assert min(table.values()) > c_inf
 
     def test_monotone_regimes(self):
         # Each table is non-increasing once past its small-n wiggle
         # (sm from 5, hd from 6, thd-sqrt from 9); 4-decimal rounding
         # produces ties, so the comparison is non-strict.
-        for table, start in ((tables.SM_FACTORS, 5), (tables.HD_FACTORS, 6),
-                             (tables.THD_SQRT_FACTORS, 9)):
+        for table, start in ((tables.TABLES["sm"], 5), (tables.TABLES["hd"], 6),
+                             (tables.TABLES["thd-sqrt"], 9)):
             ns = sorted(n for n in table if n >= start)
             values = [table[n] for n in ns]
             assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_park_close_to_sm(self):
         diffs = [
-            abs(tables.PARK_FACTORS[n] - tables.SM_FACTORS[n]) for n in range(2, 101)
+            abs(tables.TABLES["park"][n] - tables.TABLES["sm"][n]) for n in range(2, 101)
         ]
         assert max(diffs) <= 0.00065
 
     def test_csv_matches_embedded_exactly(self):
-        columns = {"c_sm": tables.SM_FACTORS, "c_hd": tables.HD_FACTORS,
-                   "c_thd_sqrt": tables.THD_SQRT_FACTORS, "c_park": tables.PARK_FACTORS}
+        columns = {"c_sm": tables.TABLES["sm"], "c_hd": tables.TABLES["hd"],
+                   "c_thd_sqrt": tables.TABLES["thd-sqrt"], "c_park": tables.TABLES["park"]}
         seen = {key: {} for key in columns}
-        with factor_table_csv_path().open("r", encoding="utf-8") as fh:
+        with tables.CSV_PATH.open("r", encoding="utf-8") as fh:
             for row in csv.DictReader(fh):
                 n = int(row["n"])
                 for key in columns:
@@ -223,6 +221,22 @@ class TestFactorTables:
     def test_unknown_table(self):
         with pytest.raises(FactorRangeError):
             factor_table("weird")
+
+    def test_registry_follows_the_csv_header(self):
+        # Column c_<name> is table <name>, in column order.
+        with tables.CSV_PATH.open("r", encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n").split(",")
+        assert header == ["n", "c_sm", "c_hd", "c_thd_sqrt", "c_park"]
+        assert tuple(tables.TABLES) == ("sm", "hd", "thd-sqrt", "park")
+
+    @pytest.mark.parametrize("name", ["sm", "hd", "thd-sqrt"])
+    def test_fitted_coefficients_match_the_large_n_rows(self, name):
+        assert set(tables.FITTED_COEFFS) == {"sm", "hd", "thd-sqrt"}
+        alpha, beta = tables.FITTED_COEFFS[name]
+        gaps = [abs(_fitted_form(n, alpha, beta) - c)
+                for n, c in tables.TABLES[name].items() if 100 < n <= 500]
+        assert len(gaps) == 32
+        assert max(gaps) <= 1e-4
 
 
 def legacy(name, n, kind=SM):

@@ -284,7 +284,8 @@ class TestFitPrediction:
             tuple(range(101, 160, 7)), 3000, 7, estimators=(SM,), chunk_size=1024
         )
         report = estimate_factors(config)
-        fit = fit_prediction(report.factors("sm"), (100, 160), "sm")
+        factors = {r.n: r.c_n for r in report.rows if r.estimator == "sm"}
+        fit = fit_prediction(factors, (100, 160), "sm")
         assert math.isfinite(fit.alpha) and math.isfinite(fit.beta)
 
 
