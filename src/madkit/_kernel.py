@@ -23,27 +23,27 @@ own loop and never calls BLAS.  OpenBLAS threads its matrix-vector product
 on wide rows, and its idle workers spin-wait on the CPUs the study's pool
 threads need.
 
-Sorting.  ``np.sort(axis=1)`` pays a per-row call into its sort loop, which
-dominates on rows of a few values.  Rows of 2 to ``_NARROW_MAX_WIDTH``
-values therefore take the wire path, where a block stays in an ``(n + 1,
-rows)`` buffer from its one transposed copy to its last sum: wire ``i`` is
-one contiguous buffer row, and each comparator ``(i, j)`` is one
-``np.minimum`` and one ``np.maximum`` over whole rows with ``out=``.  The
-minimum goes to the spare buffer row, which then becomes wire ``i``, so no
-comparator allocates, and the plan records the buffer row each sorted
-wire ends on.  The sort is Batcher's odd-even merge sort (Batcher 1968;
-Knuth, TAOCP vol. 3, 5.3.4).  The deviations ``|x - med|`` of a sorted row
-fall, then rise: ``med`` lies in the row's range, and the rounded
-``|x - med|`` is monotone in ``x`` on each side of it.  One
-``np.subtract`` and one ``np.abs`` over all ``n + 1`` buffer rows write them
-to a second buffer in the same layout; the spare row there holds the
-deviation of a stale copy of one of the row's values, so it warns only
-where a real value does.  Batcher's bitonic merger, which sorts such a
-sequence, then orders them from that layout: padded to the next power of
-two, with the comparators that touch a pad wire dropped, it takes 15
-comparators at n = 10 where the sort takes 32.  Both plans are generated
-for any ``n`` and cached per ``n`` on first use.  Wider rows keep
-``np.sort`` on rows.
+Sorting.  ``np.sort(axis=1)`` pays a per-row call into its sort loop,
+which dominates on rows of a few values.  In a call of more than one row,
+rows of 2 to ``_NARROW_MAX_WIDTH`` values therefore take the wire path,
+where a block stays in an ``(n + 1, rows)`` buffer from its one transposed
+copy to its last sum: wire ``i`` is one contiguous buffer row, and each
+comparator ``(i, j)`` is one ``np.minimum`` and one ``np.maximum`` over
+whole rows with ``out=``.  The minimum goes to the spare buffer row, which
+then becomes wire ``i``, so no comparator allocates, and the plan records
+the buffer row each sorted wire ends on.  The sort is Batcher's odd-even
+merge sort (Batcher 1968; Knuth, TAOCP vol. 3, 5.3.4).  The deviations
+``|x - med|`` of a sorted row fall, then rise: ``med`` lies in the row's
+range, and the rounded ``|x - med|`` is monotone in ``x`` on each side of
+it.  One ``np.subtract`` and one ``np.abs`` over all ``n + 1`` buffer rows
+write them to a second buffer in the same layout; the spare row there
+holds the deviation of a stale copy of one of the row's values, so it
+warns only where a real value does.  Batcher's bitonic merger, which sorts
+such a sequence, then orders them from that layout: padded to the next
+power of two, with the comparators that touch a pad wire dropped, it takes
+15 comparators at n = 10 where the sort takes 32.  Both plans are
+generated for any ``n`` and cached per ``n`` on first use.  Wider rows,
+and a call of one row, keep ``np.sort`` on rows.
 
 Bitwise contract.  The networks give the values of ``np.sort``: a sort is
 a permutation, so only the order of equal values can differ, which for
@@ -67,15 +67,12 @@ array: the first sort of each block is then shared by all of them.
 
 Scratch.  A block's two wire buffers (for wide rows, its sorted rows and
 their deviations) are views of one float64 array per thread
-(``thread_scratch``), kept between calls, grown when a call needs more
-and never shrunk.  A study calls the kernel once per chunk; blocks of a
-few MB allocated per call are returned to the OS when the call ends
-(glibc maps them), and the next call faults the same pages in again.
-The returned array is always a fresh allocation, never a view of the
-scratch.  A study's worker threads live for the whole study, so each
-keeps its scratch from one cell to the next and takes it with it when the
-study ends; the calling thread releases its own scratch when the study
-ends, as a one-row ``mad.mad_uncorrected`` call does when it returns.
+(``thread_scratch``), grown when a call needs more and never shrunk:
+blocks of a few MB allocated per chunk were returned to the OS (glibc
+maps them) and faulted in again by the next chunk.  A one-row call takes
+none (``_mad_np_sort``).  The result is always a fresh array.  Only the
+kernel and ``simulate._run_cells``, which keeps each chunk's samples in
+scratch and releases the calling thread's when a study ends, use it.
 """
 from __future__ import annotations
 
@@ -248,6 +245,20 @@ def _mad_sorted_rows(xs: np.ndarray, stack: np.ndarray, out: np.ndarray,
         out[k] = _weighted_median(dev.T, wk)
 
 
+def _mad_np_sort(rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The ``(k, len(rows))`` MADs of ``rows``, on ``np.sort`` in one fresh array.
+
+    A second array for the deviations took about 1.35x the time on one row
+    of 1e5 values (best of 7, 2-vCPU Xeon).
+    """
+    xs, dev = np.empty((2, *rows.shape))
+    np.copyto(xs, rows)
+    xs.sort(axis=1)
+    mads = np.empty((len(stack), len(rows)))
+    _mad_sorted_rows(xs, stack, mads, dev)
+    return mads
+
+
 def _mad_wires(block: np.ndarray, stack: np.ndarray, out: np.ndarray,
                buf: np.ndarray, dbuf: np.ndarray) -> None:
     """MADs of the ``(rows, n)`` ``block`` into ``out[k]``, on ``(n + 1, rows)`` wire buffers."""
@@ -265,10 +276,7 @@ def _mad_wires(block: np.ndarray, stack: np.ndarray, out: np.ndarray,
         out[k] = _weighted_median(sorted_devs, wk)
     nan = np.isnan(wires[where[0]])  # NaN reaches the first wire
     if nan.any():
-        xs = np.sort(block[nan], axis=1)
-        nan_mads = np.empty((len(stack), len(xs)))
-        _mad_sorted_rows(xs, stack, nan_mads, np.empty_like(xs))
-        out[:, nan] = nan_mads
+        out[:, nan] = _mad_np_sort(block[nan], stack)
 
 
 def mad0_batch(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -286,18 +294,20 @@ def mad0_batch(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
     stack = w.reshape(1, -1) if w.ndim == 1 else w
     if stack.ndim != 2 or stack.shape[1] != n:
         raise ValueError(f"weights of shape {w.shape} do not match rows of width {n}")
+    if rows == 1:  # a ``madkit mad`` call keeps no scratch
+        mads = _mad_np_sort(x, stack)
+        return mads[0] if w.ndim == 1 else mads
     mads = np.empty((len(stack), rows))
     step = max(1, min(rows, _BLOCK_VALUES // max(n, 1)))
     narrow = 2 <= n <= _NARROW_MAX_WIDTH
     shape = (n + 1, step) if narrow else (step, n)
     size = shape[0] * shape[1]
-    # A call of more than one row (a study's chunk) takes at least two full
-    # blocks, so a study thread allocates its scratch once for every width
-    # it meets: freeing a smaller array to grow it raises glibc's dynamic
-    # mmap threshold, and the thread's later temporaries then stay in its
-    # heap (sensitivity, n = 5 then 30: 3 MB more peak RSS).  A one-row call
-    # releases its scratch when it returns, and takes only what it needs.
-    scratch = thread_scratch("kernel", max(2 * size, 2 * _BLOCK_VALUES if rows > 1 else 0))
+    # A call takes at least two full blocks, so a study thread allocates its
+    # scratch once for every width it meets: freeing a smaller array to grow
+    # it raises glibc's dynamic mmap threshold, and the thread's later
+    # temporaries then stay in its heap (sensitivity, n = 5 then 30: 3 MB
+    # more peak RSS).
+    scratch = thread_scratch("kernel", max(2 * size, 2 * _BLOCK_VALUES))
     first = scratch[:size].reshape(shape)
     second = scratch[size:2 * size].reshape(shape)
     for start in range(0, rows, step):

@@ -31,6 +31,7 @@ from madkit.factor_tables import TABLES
 from madkit.mad import MODEL_CHOICES, factor_table, mad_corrected
 from madkit.quantiles import THD_SQRT, parse_estimator
 from madkit.simulate import (
+    _FIT_RANGE,
     _FLOAT_FMT,
     _STREAMS,
     SimulationConfig,
@@ -294,8 +295,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit the large-n prediction equation to a table")
     p_fit.add_argument("--estimator", choices=tuple(TABLES), default="sm")
-    p_fit.add_argument("--range", type=_range, default=(100.0, 500.0), metavar="LOW..HIGH",
-                       help="fit on tabulated sizes with LOW < n <= HIGH (default 100..500)")
+    p_fit.add_argument("--range", type=_range, default=_FIT_RANGE, metavar="LOW..HIGH",
+                       help="fit on tabulated sizes with LOW < n <= HIGH "
+                            "(default {}..{})".format(*_FIT_RANGE))
     p_fit.add_argument("--out", default=None, metavar="PATH")
 
     p_tables = sub.add_parser("tables", help="dump a built-in factor table as CSV")

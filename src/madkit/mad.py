@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from madkit import factor_tables as tables
-from madkit._kernel import mad0_batch, release_thread_scratch
+from madkit._kernel import mad0_batch
 from madkit.errors import DomainError, FactorRangeError, SampleError
 from madkit.quantiles import (
     SM,
@@ -64,7 +64,9 @@ def _table_key(kind: MedianEstimator) -> str:
     if kind.kind == "thd" and kind.width is not None:
         raise FactorRangeError(
             "built-in factors cover the 1/sqrt(n)-width thd estimator only; "
-            "pass a factor model function (n, kind) -> C_n calibrated for this width"
+            "calibrate this width with madkit factors --estimators 'thd(W)', or use a "
+            "width-free madkit mad --model such as asymptotic; in Python, pass a factor "
+            "model function (n, kind) -> C_n"
         )
     return kind.label
 
@@ -176,12 +178,8 @@ def _mad0(values: np.ndarray, kind: MedianEstimator) -> float:
     n = values.size
     if n < 2:
         raise SampleError(f"MAD requires at least two observations, got {n}")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            mad = float(mad0_batch(values[None, :], median_weights(n, kind))[0])
-    finally:
-        # One row's buffers are not worth keeping for the next call.
-        release_thread_scratch()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mad = float(mad0_batch(values[None, :], median_weights(n, kind))[0])
     if not math.isfinite(mad):
         raise DomainError(
             "the absolute deviations from the median overflow float64; "

@@ -279,7 +279,8 @@ def _cdf_window(n: int, p: float, width: Optional[float]):
     CDF is exactly 1.0 at its right edge.
 
     The cache is bounded and holds only these windows, never dense
-    n-vectors; the centre and deviation medians of one MAD share a build.
+    n-vectors; it serves repeated builds of one (n, estimator), as warm
+    ``madkit mad`` calls in one process and repeated estimates make.
     """
     params = _hd_params(n, p)
     hdi = None if width is None else beta_hdi(params, width)

@@ -76,6 +76,9 @@ __all__ = [
 
 _FLOAT_FMT = "%.10g"
 
+# The sizes n_low < n <= n_high the prediction equation is fitted on by default.
+_FIT_RANGE = (100, 500)
+
 # Study tags folded into stream derivation so different studies never share
 # sample streams under one master seed.
 _TAG_FACTORS = 1
@@ -255,22 +258,8 @@ def _mean_variance(parts: Sequence[tuple[float, float]], reps: int) -> tuple[flo
     return mean, max(0.0, (total_sq - reps * mean * mean) / (reps - 1))
 
 
-def _sample_buffer(shape: tuple[int, int]) -> np.ndarray:
-    # The draws go to this thread's reused buffer, like the kernel's scratch:
-    # the samples die with their chunk, and a fresh matrix per chunk was
-    # mapped and faulted in again (glibc maps blocks of this size when
-    # nothing larger was freed before, as for n = 2 first in a process).
-    size = shape[0] * shape[1]
-    return thread_scratch("samples", size)[:size].reshape(shape)
-
-
-def _normal_matrix(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
-    return rng.standard_normal(out=_sample_buffer(shape))
-
-
-def _spec_draw(dist: DistributionSpec) -> Callable:
-    """``dist``'s draw for ``_run_cells``, into the thread's sample buffer."""
-    return lambda rng, shape: dist.draw(rng, shape, out=_sample_buffer(shape))
+def _normal_matrix(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    return rng.standard_normal(out=out)
 
 
 def _weight_stack(n: int, estimators: Sequence[MedianEstimator]) -> np.ndarray:
@@ -283,17 +272,17 @@ def _run_cells(config: SimulationConfig, cells: Sequence, prepare: Callable,
     """The report rows ``aggregate(cell, parts)`` of each cell of a study, in order.
 
     ``prepare(cell)`` gives the cell's ``(key, draw, weights, reduce)``:
-    chunk i draws its ``(count, n)`` samples with ``draw(rng, shape)`` from
+    chunk i fills its ``(count, n)`` samples with ``draw(rng, out)`` from
     the stream keyed by ``(*key, i)``, and its part is ``reduce(
     mad0_batch(samples, weights))``; ``weights`` is a ``(k, n)`` stack.
     ``parts`` are the cell's parts in chunk order.
 
     Every chunk of every cell goes through one ``_map_ordered`` call, fed
     lazily in report order, so the workers compute the next cell's chunks
-    while this thread aggregates the last one.  The samples are a view of
-    the worker's scratch (``_sample_buffer``), so nothing keeps them past
-    the chunk.  A chunk's floating-point overflow is left to the study's
-    checks on its parts and rows, not reported as a NumPy warning.
+    while this thread aggregates the last one.  ``out`` is a view of the
+    thread's ``"samples"`` scratch, reused chunk after chunk like the
+    kernel's blocks.  A chunk's floating-point overflow is left to the
+    study's checks on its parts and rows, not reported as a NumPy warning.
     """
     reps, size = config.repetitions, config.chunk_size
     per_cell = (reps + size - 1) // size
@@ -301,13 +290,11 @@ def _run_cells(config: SimulationConfig, cells: Sequence, prepare: Callable,
     def chunk_part(item):
         key, draw, weights, reduce, index = item
         stream = RngStream(config.master_seed, derive_stream_id(*key, index))
-        # The generator is freed before the kernel runs.  Freeing the
-        # samples before the reduction instead of after it measures the
-        # same (page faults of a two-thread factors run, calibrate and
-        # sensitivity cycle_s), since the kernel's buffers and the draws
-        # live in thread scratch.
+        count, n = min(size, reps - index * size), weights.shape[-1]
+        samples = thread_scratch("samples", count * n)[:count * n].reshape(count, n)
+        # The generator is freed before the kernel runs.
         with np.errstate(over="ignore", invalid="ignore"):
-            samples = draw(stream.generator(), (min(size, reps - index * size), weights.shape[-1]))
+            draw(stream.generator(), samples)
             return reduce(mad0_batch(samples, weights))
 
     def items():
@@ -426,7 +413,8 @@ def sensitivity(config: SimulationConfig, threads: int = 1) -> SensitivityReport
                                   "in float64; rescale the distribution")
             return estimates
 
-        return ((_TAG_SENSITIVITY, _spec_key(dist), n), _spec_draw(dist),
+        return ((_TAG_SENSITIVITY, _spec_key(dist), n),
+                lambda rng, out: dist.draw(rng, out.shape, out=out),
                 _weight_stack(n, config.estimators), reduce)
 
     def aggregate(cell, parts):
@@ -454,7 +442,7 @@ def sensitivity(config: SimulationConfig, threads: int = 1) -> SensitivityReport
 
 def fit_prediction(
     factors: Mapping[int, float],
-    n_range: tuple[float, float] = (100, 500),
+    n_range: tuple[float, float] = _FIT_RANGE,
     estimator: str = "",
 ) -> FitResult:
     """Least-squares fit of C_n = 1 / (qnorm(0.75) * (1 + alpha/n + beta/n^2)).
@@ -483,6 +471,6 @@ def fit_prediction(
     return FitResult(estimator, alpha, beta, residual_max, float(low), float(high))
 
 
-def fit_embedded(estimator_label: str, n_range: tuple[float, float] = (100, 500)) -> FitResult:
+def fit_embedded(estimator_label: str, n_range: tuple[float, float] = _FIT_RANGE) -> FitResult:
     """Fit the prediction equation on a built-in factor table."""
     return fit_prediction(factor_table(estimator_label), n_range, estimator_label)

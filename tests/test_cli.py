@@ -552,7 +552,9 @@ class TestUsageErrors:
     def test_custom_thd_width_needs_factors(self, argv, stdin, capsys, monkeypatch):
         assert run_cli(argv, capsys, stdin, monkeypatch) == (
             2, "", "madkit: built-in factors cover the 1/sqrt(n)-width thd estimator only; "
-                   "pass a factor model function (n, kind) -> C_n calibrated for this width\n")
+                   "calibrate this width with madkit factors --estimators 'thd(W)', or use a "
+                   "width-free madkit mad --model such as asymptotic; in Python, pass a factor "
+                   "model function (n, kind) -> C_n\n")
 
     def test_custom_thd_width_with_width_free_model(self, capsys, monkeypatch):
         argv = ["mad", "-", "--estimator", "thd(0.25)", "--model", "asymptotic", "--csv"]

@@ -67,6 +67,13 @@ def test_mad_uncorrected_is_the_composed_mad_bitwise(kind):
         for row in rows:
             got, want = mad_uncorrected(row, kind), _mad_reference(row, kind)
             assert got.hex() == want.hex(), (n, got, want)
+        if n <= NARROW + 1:
+            # In a call of several rows, rows of 2 to 12 values take the
+            # wire path; alone, a row takes np.sort.  Both give its bits.
+            with np.errstate(over="ignore", invalid="ignore"):
+                batch = mad0_batch(np.stack(rows), median_weights(n, kind))
+            alone = [mad_uncorrected(row, kind) for row in rows]
+            assert _bits(batch).tolist() == _bits(np.array(alone)).tolist(), n
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
@@ -424,6 +431,17 @@ def test_result_never_aliases_scratch():
     assert not np.shares_memory(first, scratch)
     assert not np.shares_memory(second, scratch)
     assert np.array_equal(first, second)
+
+
+def test_one_row_call_takes_no_scratch():
+    def one_row_calls():
+        for n in (2, 10, 13, 1000):
+            x = np.random.default_rng(n).standard_normal((1, n))
+            mad0_batch(x, median_weights(n, HD))
+            mad0_batch(x, np.stack([median_weights(n, kind) for kind in ALL_KINDS]))
+        return dict(vars(_kernel._scratch))
+
+    assert _on_new_thread(one_row_calls) == {}
 
 
 @pytest.mark.parametrize("n", (5, 10))

@@ -99,6 +99,23 @@ class TestMadUncorrected:
         with ThreadPoolExecutor(max_workers=1) as pool:
             assert pool.submit(call).result() == {}
 
+    def test_keeps_the_threads_study_scratch(self):
+        # Sensitivity's aggregator calls mad_corrected on a thread that may
+        # hold the study's buffers; the call leaves them in place.
+        from concurrent.futures import ThreadPoolExecutor
+
+        from madkit import _kernel
+
+        def call():
+            held = {slot: _kernel.thread_scratch(slot, 1000) for slot in ("samples", "kernel")}
+            mad_corrected(np.random.default_rng(5).standard_normal(10_000), HD)
+            return held, dict(vars(_kernel._scratch))
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            held, after = pool.submit(call).result()
+        assert after.keys() == held.keys()
+        assert all(after[slot] is held[slot] for slot in held)
+
 
 class TestDefaultModel:
     def test_n2_exact_for_every_estimator(self):

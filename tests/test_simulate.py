@@ -22,8 +22,6 @@ from madkit.mad import correction_factor, factor_table, mad_corrected
 from madkit.quantiles import HD, SM, THD_SQRT, median_weights, thd
 from madkit.simulate import (
     SimulationConfig,
-    _normal_matrix,
-    _spec_draw,
     efficiency,
     estimate_factors,
     fit_embedded,
@@ -336,41 +334,42 @@ class TestStreamContract:
         ]) * correction_factor(7, THD_SQRT)
         assert row.dispersion == float(np.std(estimates, ddof=1))
 
-    def test_normal_draws_fill_one_reused_buffer(self):
-        # The samples live only for their chunk, so each draw refills this
-        # thread's buffer with the values a fresh matrix would hold.
-        first = _normal_matrix(RngStream(8, 1).generator(), (300, 5))
-        expected = RngStream(8, 2).generator().standard_normal((200, 3))
-        second = _normal_matrix(RngStream(8, 2).generator(), (200, 3))
-        assert np.shares_memory(first, second)
-        assert np.array_equal(second, expected)
+    @pytest.mark.parametrize("study", ["factors", "sensitivity"])
+    def test_draws_fill_the_threads_one_sample_buffer(self, study, monkeypatch):
+        # The samples live only for their chunk, so every draw of a study
+        # thread refills its one "samples" scratch buffer, whatever the width.
+        from madkit import _kernel
+        from madkit.distributions import DistributionSpec
 
-    def test_spec_draws_fill_the_same_buffer(self):
-        # Sensitivity's draws go to the buffer the normals use, with the
-        # values the spec's own draw returns.
-        from madkit._kernel import release_thread_scratch
+        owner, name = ((simulate, "_normal_matrix") if study == "factors"
+                       else (DistributionSpec, "draw"))
+        draw = getattr(owner, name)
+        seen = []
 
-        try:
-            normals = _normal_matrix(RngStream(8, 1).generator(), (300, 5))
-            for text in ("student(df=3)", "triangular(a=0,b=2,c=0.2)", "constant(value=2)"):
-                spec = parse_spec(text)
-                got = _spec_draw(spec)(RngStream(8, 3).generator(), (120, 7))
-                assert np.shares_memory(got, normals)
-                assert np.array_equal(got, spec.draw(RngStream(8, 3).generator(), (120, 7)))
-        finally:
-            release_thread_scratch()
+        def recording_draw(*args, **kwargs):
+            out = kwargs.get("out", args[-1])
+            seen.append((out, _kernel.thread_scratch("samples", 0)))
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recording_draw)
+        cfg = make_config(sample_sizes=(7, 3), repetitions=300, chunk_size=100,
+                          distributions=(parse_spec("student(df=3)"),))
+        (estimate_factors if study == "factors" else sensitivity)(cfg, threads=1)
+        assert len(seen) == 6
+        assert all(buffer is seen[0][1] for _, buffer in seen)
+        assert all(np.shares_memory(out, buffer) for out, buffer in seen)
 
     def test_study_on_calling_thread_leaves_no_scratch(self):
         from madkit import _kernel
 
-        _normal_matrix(RngStream(8, 1).generator(), (300, 5))
+        _kernel.thread_scratch("samples", 1500)
         estimate_factors(make_config(sample_sizes=(3,), repetitions=200), threads=1)
         assert vars(_kernel._scratch) == {}
 
     def test_threaded_study_leaves_no_scratch_on_calling_thread(self):
         from madkit import _kernel
 
-        _normal_matrix(RngStream(8, 1).generator(), (300, 5))
+        _kernel.thread_scratch("samples", 1500)
         estimate_factors(make_config(sample_sizes=(3, 5), repetitions=200, chunk_size=100),
                          threads=2)
         assert vars(_kernel._scratch) == {}
@@ -541,13 +540,13 @@ class TestWorkerCount:
         lock = threading.Lock()
         draw = simulate._normal_matrix
 
-        def recording_draw(rng, shape):
+        def recording_draw(rng, out):
             with lock:
-                started.append(shape[1])
+                started.append(out.shape[1])
                 workers.add(threading.current_thread())
-            if where == "chunk" and shape[1] == 5:
+            if where == "chunk" and out.shape[1] == 5:
                 raise RuntimeError("chunk failed")
-            return draw(rng, shape)
+            return draw(rng, out)
 
         moments = simulate._mean_variance
         calls = []
