@@ -10,7 +10,7 @@ the Monte-Carlo machinery to recalibrate everything from scratch.
 
 __version__ = "0.1.0"
 
-from madkit.distributions import DistributionSpec, RngStream, parse_spec, sample
+from madkit.distributions import DistributionSpec, RngStream, parse_spec
 from madkit.errors import MadkitError
 from madkit.mad import (
     DEFAULT_MODEL,
@@ -25,7 +25,6 @@ from madkit.quantiles import (
     SM,
     THD_SQRT,
     MedianEstimator,
-    Sample,
     hd_quantile,
     hf7_quantile,
     median,
@@ -36,7 +35,6 @@ from madkit.quantiles import (
 __all__ = [
     "__version__",
     "MadkitError",
-    "Sample",
     "MedianEstimator",
     "SM",
     "HD",
@@ -55,5 +53,4 @@ __all__ = [
     "DistributionSpec",
     "RngStream",
     "parse_spec",
-    "sample",
 ]

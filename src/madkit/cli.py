@@ -237,7 +237,8 @@ def _add_sim_flags(parser, default_reps: int, estimators: str = "") -> None:
                         help="comma-separated sample sizes, e.g. 2,3,5,10")
     parser.add_argument("--reps", type=int, default=default_reps,
                         help=f"repetitions per cell (default {default_reps})")
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="master seed in [0, 2**64) (default 0)")
     if estimators:
         parser.add_argument("--estimators", type=_estimator_list, default=None, metavar="LIST",
                             help=estimators)

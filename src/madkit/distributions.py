@@ -21,14 +21,13 @@ import numpy as np
 
 from madkit._kernel import _BLOCK_VALUES
 from madkit.errors import DistributionSpecError
-from madkit.quantiles import Sample
+from madkit.quantiles import _format_param
 
 __all__ = [
     "RngStream",
     "derive_stream_id",
     "DistributionSpec",
     "parse_spec",
-    "sample",
     "DEFAULT_SENSITIVITY_SET",
 ]
 
@@ -346,12 +345,6 @@ class DistributionSpec:
         return f"{self.family}({args})"
 
 
-def _format_param(value: float) -> str:
-    """``:g`` when it reads back as the same float, else the shortest exact form."""
-    short = f"{value:g}"
-    return short if float(short) == value else repr(value)
-
-
 _SPEC_RE = re.compile(r"^\s*([A-Za-z_]+)\s*(?:\(\s*(.*?)\s*\))?\s*$")
 
 
@@ -369,20 +362,18 @@ def parse_spec(text: str) -> DistributionSpec:
                     f"expected key=value in {text!r}, got {item.strip()!r}"
                 )
             key, _, val = item.partition("=")
+            key = key.strip().lower()
+            if key in params:
+                raise DistributionSpecError(
+                    f"{family.lower()}: parameter {key!r} is given more than once in {text!r}"
+                )
             try:
-                params[key.strip().lower()] = float(val)
+                params[key] = float(val)
             except ValueError:
                 raise DistributionSpecError(
                     f"bad numeric value {val.strip()!r} in {text!r}"
                 ) from None
     return DistributionSpec.make(family, **params)
-
-
-def sample(spec: DistributionSpec, n: int, stream: RngStream) -> Sample:
-    """n i.i.d. draws from ``spec`` as a Sample; deterministic given the stream."""
-    if n < 1:
-        raise DistributionSpecError(f"need n >= 1, got {n}")
-    return Sample(spec.draw(stream.generator(), n))
 
 
 def _specs(*texts: str) -> tuple[DistributionSpec, ...]:

@@ -18,21 +18,14 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from madkit import factor_tables as tables
 from madkit._kernel import mad0_batch
 from madkit.errors import DomainError, FactorRangeError, SampleError
-from madkit.quantiles import (
-    SM,
-    MedianEstimator,
-    Sample,
-    SampleLike,
-    finite_values,
-    median_weights,
-)
+from madkit.quantiles import SM, MedianEstimator, finite_values, median_weights
 
 __all__ = [
     "MadValue",
@@ -169,10 +162,6 @@ class MadValue:
     factor_source: str
 
 
-def _values(x: SampleLike) -> np.ndarray:
-    return x.values if isinstance(x, Sample) else finite_values(x)
-
-
 def _mad0(values: np.ndarray, kind: MedianEstimator) -> float:
     """The raw MAD of finite ``values`` (any order) by the batch kernel."""
     n = values.size
@@ -188,7 +177,7 @@ def _mad0(values: np.ndarray, kind: MedianEstimator) -> float:
     return mad
 
 
-def mad_uncorrected(x: SampleLike, kind: MedianEstimator = SM) -> float:
+def mad_uncorrected(x: Iterable[float], kind: MedianEstimator = SM) -> float:
     """median(|x - median(x)|), both medians by the same estimator.
 
     Computed by the batch kernel ``mad0_batch`` on one row, so it is the
@@ -197,14 +186,14 @@ def mad_uncorrected(x: SampleLike, kind: MedianEstimator = SM) -> float:
     exists.  Raises ``DomainError`` for non-finite input and when the
     deviations overflow float64.
     """
-    return _mad0(_values(x), kind)
+    return _mad0(finite_values(x), kind)
 
 
 def mad_corrected(
-    x: SampleLike, kind: MedianEstimator = SM, model: _Model = DEFAULT_MODEL
+    x: Iterable[float], kind: MedianEstimator = SM, model: _Model = DEFAULT_MODEL
 ) -> MadValue:
     """Bias-corrected MAD: C_n times the raw MAD; ``DomainError`` if that overflows."""
-    values = _values(x)
+    values = finite_values(x)
     raw = _mad0(values, kind)
     n = values.size
     c_n = correction_factor(n, kind, model)

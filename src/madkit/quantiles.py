@@ -14,18 +14,20 @@ Three estimators are provided:
   distribution and renormalized.  ``THD_SQRT`` uses interval width
   1/sqrt(n), a practical efficiency/robustness compromise.
 
-All estimators consume a :class:`Sample`, which sorts and validates its
-data once at construction.  Every estimate is a fixed weighted sum of the
-order statistics, clamped to the sample's range: the batch kernel's
-``_weighted_median`` on the sample as one row, so ``median(x, kind)`` is
-the median that ``mad.mad_uncorrected`` and the Monte-Carlo studies take.
+Every estimator takes any iterable of finite reals, in any order, and
+sorts it once per call; NaN or infinity raises ``DomainError`` and an
+empty sample ``SampleError``.  Every estimate is a fixed weighted sum of
+the order statistics, clamped to the sample's range: the batch kernel's
+``_weighted_median`` on the sorted sample as one row, so
+``median(x, kind)`` is the median that ``mad.mad_uncorrected`` and the
+Monte-Carlo studies take.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from madkit.errors import DomainError, SampleError
 from madkit.specfun import BetaParams, beta_pdf, reg_inc_beta
 
 __all__ = [
-    "Sample",
     "MedianEstimator",
     "SM",
     "HD",
@@ -55,39 +56,6 @@ _HDI_EPS = 1e-9
 _HDI_TOL = 1e-9
 
 
-class Sample:
-    """An immutable sorted sample of finite reals.
-
-    Input order is irrelevant to every estimator, so values are sorted
-    ascending once here.  Non-finite entries are rejected.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values: Iterable[float]):
-        arr = np.sort(finite_values(values))
-        arr.flags.writeable = False
-        self._values = arr
-
-    @property
-    def values(self) -> np.ndarray:
-        """Sorted values as a read-only float64 array."""
-        return self._values
-
-    @property
-    def n(self) -> int:
-        return self._values.size
-
-    def __len__(self) -> int:
-        return self._values.size
-
-    def __repr__(self) -> str:
-        return f"Sample(n={self.n})"
-
-
-SampleLike = Union[Sample, Iterable[float]]
-
-
 def finite_values(values: Iterable[float]) -> np.ndarray:
     """``values`` as a flat float64 array, unsorted; rejects NaN and infinity.
 
@@ -102,8 +70,23 @@ def finite_values(values: Iterable[float]) -> np.ndarray:
     return arr
 
 
-def as_sample(x: SampleLike) -> Sample:
-    return x if isinstance(x, Sample) else Sample(x)
+def _sorted(x: Iterable[float]) -> np.ndarray:
+    """The finite values of ``x``, sorted ascending; an empty sample raises."""
+    xs = np.sort(finite_values(x))
+    if xs.size == 0:
+        raise SampleError("estimate requires a nonempty sample")
+    return xs
+
+
+def _sum(xs: np.ndarray, w: np.ndarray) -> float:
+    """The kernel's clamped sum of ``w`` times the sorted sample ``xs``, as one row."""
+    return float(_weighted_median(xs[:, None], w)[0])
+
+
+def _format_param(value: float) -> str:
+    """``:g`` when it reads back as the same float, else the shortest exact form."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
 
 
 @dataclass(frozen=True)
@@ -137,7 +120,7 @@ class MedianEstimator:
             return self.kind
         if self.width is None:
             return "thd-sqrt"
-        return f"thd({self.width:g})"
+        return f"thd({_format_param(self.width)})"
 
     def __str__(self) -> str:
         return self.label
@@ -171,40 +154,32 @@ def parse_estimator(text: str) -> MedianEstimator:
     raise DomainError(f"unknown estimator {text!r} (expected sm, hd, thd-sqrt, or thd(w))")
 
 
-def _require_nonempty(x: Sample) -> None:
-    if x.n == 0:
-        raise SampleError("estimate requires a nonempty sample")
-
-
-def _estimate(x: SampleLike, weights_of_n: Callable[[int], np.ndarray]) -> float:
-    """The kernel's clamped sum of ``weights_of_n(n)`` times the order statistics of x."""
-    x = as_sample(x)
-    _require_nonempty(x)
-    return float(_weighted_median(x.values[:, None], weights_of_n(x.n))[0])
-
-
 def _check_open_prob(p: float) -> None:
     if not (0.0 < p < 1.0):
         raise DomainError(f"quantile order p must lie strictly in (0, 1), got {p}")
 
 
-def hf7_quantile(x: SampleLike, p: float) -> float:
+def hf7_quantile(x: Iterable[float], p: float) -> float:
     """Hyndman-Fan type 7 sample quantile (linear order-statistic interpolation).
 
     At p = 0.5 this is ``median(x, SM)``, the classic sample median.
     """
-    x = as_sample(x)
-    _require_nonempty(x)
+    xs = _sorted(x)
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"quantile order p must lie in [0, 1], got {p}")
+    return _hf7_sorted(xs, p)
+
+
+def _hf7_sorted(xs: np.ndarray, p: float) -> float:
+    """``hf7_quantile`` of the nonempty sorted sample ``xs``, p in [0, 1]."""
     if p == 0.5:
-        return median(x, SM)
-    h = (x.n - 1) * p
+        return _sum(xs, median_weights(xs.size, SM))
+    h = (xs.size - 1) * p
     i = int(math.floor(h))
-    if i >= x.n - 1:
-        return float(x.values[-1])
+    if i >= xs.size - 1:
+        return float(xs[-1])
     g = h - i
-    lo, hi = float(x.values[i]), float(x.values[i + 1])
+    lo, hi = float(xs[i]), float(xs[i + 1])
     if math.isfinite(hi - lo):
         return lo + g * (hi - lo)
     # lo < 0 < hi: neither term nor their sum overflows, and it lies in [lo, hi].
@@ -332,9 +307,10 @@ def hd_weights(n: int, p: float) -> np.ndarray:
     return _weights(n, p, None)
 
 
-def hd_quantile(x: SampleLike, p: float) -> float:
+def hd_quantile(x: Iterable[float], p: float) -> float:
     """Harrell-Davis quantile estimate: weighted sum of all order statistics."""
-    return _estimate(x, lambda n: hd_weights(n, p))
+    xs = _sorted(x)
+    return _sum(xs, hd_weights(xs.size, p))
 
 
 def beta_hdi(params: BetaParams, width: float) -> Optional[tuple[float, float]]:
@@ -396,16 +372,17 @@ def thd_weights(n: int, p: float, width: float) -> np.ndarray:
     return _weights(n, p, width)
 
 
-def thd_quantile(x: SampleLike, p: float, width: Optional[float] = None) -> float:
+def thd_quantile(x: Iterable[float], p: float, width: Optional[float] = None) -> float:
     """Trimmed Harrell-Davis quantile estimate; width defaults to 1/sqrt(n)."""
-    return _estimate(
-        x, lambda n: thd_weights(n, p, THD_SQRT.resolve_width(n) if width is None else width)
-    )
+    xs = _sorted(x)
+    n = xs.size
+    return _sum(xs, thd_weights(n, p, THD_SQRT.resolve_width(n) if width is None else width))
 
 
-def median(x: SampleLike, kind: MedianEstimator = SM) -> float:
+def median(x: Iterable[float], kind: MedianEstimator = SM) -> float:
     """Median estimate: the clamped sum of ``median_weights(n, kind)`` times sorted x."""
-    return _estimate(x, lambda n: median_weights(n, kind))
+    xs = _sorted(x)
+    return _sum(xs, median_weights(xs.size, kind))
 
 
 def median_weights(n: int, kind: MedianEstimator = SM) -> np.ndarray:

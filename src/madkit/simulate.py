@@ -53,8 +53,7 @@ from madkit.quantiles import (
     SM,
     THD_SQRT,
     MedianEstimator,
-    Sample,
-    hf7_quantile,
+    _hf7_sorted,
     median_weights,
 )
 
@@ -110,7 +109,8 @@ class SimulationConfig:
     reproducibility contract: the same config gives bit-identical reports,
     any thread count.  No sample size, estimator or distribution may
     repeat: its cells would draw the same samples and compute the same
-    rows twice.
+    rows twice.  ``master_seed`` lies in [0, 2**64), the range of a Philox
+    key word: a seed outside it would alias one inside.
     """
 
     sample_sizes: tuple[int, ...]
@@ -124,6 +124,8 @@ class SimulationConfig:
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "distributions", tuple(self.distributions))
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if not self.sample_sizes:
             raise ConfigError("sample_sizes must not be empty")
         if any(n < 2 for n in self.sample_sizes):
@@ -385,8 +387,8 @@ def _aggregate(kind: str, estimates: np.ndarray) -> float:
     if kind == "sd":
         return float(np.std(estimates, ddof=1))
     if kind == "iqr":
-        s = Sample(estimates)
-        return hf7_quantile(s, 0.75) - hf7_quantile(s, 0.25)
+        xs = np.sort(estimates)
+        return _hf7_sorted(xs, 0.75) - _hf7_sorted(xs, 0.25)
     return mad_corrected(estimates, SM, DEFAULT_MODEL).corrected
 
 

@@ -28,7 +28,6 @@ from madkit.quantiles import (
     HD,
     SM,
     THD_SQRT,
-    Sample,
     beta_hdi,
     hd_quantile,
     hd_weights,
@@ -135,8 +134,8 @@ def test_criterion_05_structural_identities():
     # (b) n=4: the sqrt-width trimmed estimator collapses onto the sample
     # median, which is why both tables print the same factor there
     x4 = rng.standard_normal((1000, 4)) * 2.0
-    med_sm = [median(Sample(r), SM) for r in x4]
-    med_thd = [median(Sample(r), THD_SQRT) for r in x4]
+    med_sm = [median(r, SM) for r in x4]
+    med_thd = [median(r, THD_SQRT) for r in x4]
     assert med_sm == med_thd
     assert tables.TABLES["sm"][4] == tables.TABLES["thd-sqrt"][4] == 2.0172
     report("PASS [5] structural identities: n=2 all-estimator collapse, "

@@ -295,6 +295,14 @@ class TestFactorsCommand:
         assert len(rows) == 2
         assert body_of(alone).splitlines()[1:] == rows
 
+    def test_long_thd_widths_keep_distinct_labels(self, capsys):
+        code, out, _ = run_cli(["factors", "--n", "5", "--reps", "2000",
+                                "--estimators", "thd(0.1234567),thd(0.1234568)"], capsys)
+        assert code == 0
+        assert " estimators=thd(0.1234567),thd(0.1234568) " in out.splitlines()[0]
+        labels = [line.split(",")[1] for line in body_of(out).splitlines()[1:]]
+        assert labels == ["thd(0.1234567)", "thd(0.1234568)"]
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "factors.csv"
         code, out, _ = run_cli(
@@ -520,6 +528,21 @@ class TestUsageErrors:
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
         assert err == "madkit: sample size 3 is listed more than once\n"
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "36893488147419103231"])
+    def test_seed_outside_64_bits_exits_2(self, seed, capsys):
+        # Philox takes 64-bit key words: each would run as its value modulo 2**64.
+        code, out, err = run_cli(["factors", "--n", "5", "--reps", "200", "--seed", seed], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"madkit: master_seed must lie in [0, 2**64), got {seed}\n"
+
+    def test_repeated_dist_parameter_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sensitivity", "--n", "5", "--reps", "200", "--dist", "normal(m=1,m=2)"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --dist: normal: parameter 'm' is given more than once "
+            "in 'normal(m=1,m=2)'\n")
 
     def test_bad_n_list(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -15,10 +15,8 @@ from madkit.distributions import (
     RngStream,
     derive_stream_id,
     parse_spec,
-    sample,
 )
 from madkit.errors import DistributionSpecError
-from madkit.quantiles import Sample
 
 
 class TestParsing:
@@ -95,6 +93,18 @@ class TestParsing:
             with pytest.raises(DistributionSpecError, match=f"^{family}: {param} must be finite"):
                 parse_spec(f"{family}({args})")
 
+    @pytest.mark.parametrize("text, family, key", [
+        ("normal(m=1,m=2)", "normal", "m"),
+        ("uniform(a=0,b=1,a=0.5)", "uniform", "a"),
+        ("Normal(M=1,m=2)", "normal", "m"),
+        ("normal(sd=1, sd =1)", "normal", "sd"),
+    ])
+    def test_rejects_repeated_parameter(self, text, family, key):
+        # Keys compare after lower-casing; a repeat would let the last value win.
+        with pytest.raises(DistributionSpecError,
+                           match=f"^{family}: parameter '{key}' is given more than once"):
+            parse_spec(text)
+
     def test_negative_zero_parameter_is_zero(self):
         spec = parse_spec("normal(m=-0,sd=1)")
         assert spec == parse_spec("normal(m=0,sd=1)")
@@ -113,15 +123,15 @@ class TestStreams:
 
     def test_same_stream_bit_identical(self):
         spec = parse_spec("normal()")
-        s1 = sample(spec, 1000, RngStream(42, 7))
-        s2 = sample(spec, 1000, RngStream(42, 7))
-        assert np.array_equal(s1.values, s2.values)
+        s1 = spec.draw(RngStream(42, 7).generator(), 1000)
+        s2 = spec.draw(RngStream(42, 7).generator(), 1000)
+        assert np.array_equal(s1, s2)
 
     def test_different_streams_differ(self):
         spec = parse_spec("normal()")
-        s1 = sample(spec, 1000, RngStream(42, 7))
-        s2 = sample(spec, 1000, RngStream(42, 8))
-        assert not np.array_equal(s1.values, s2.values)
+        s1 = spec.draw(RngStream(42, 7).generator(), 1000)
+        s2 = spec.draw(RngStream(42, 8).generator(), 1000)
+        assert not np.array_equal(s1, s2)
 
     def test_cross_correlation_of_disjoint_streams(self):
         n = 100_000
@@ -129,15 +139,6 @@ class TestStreams:
         g2 = RngStream(123, 2).generator().standard_normal(n)
         r = np.corrcoef(g1, g2)[0, 1]
         assert abs(r) < 0.01
-
-    def test_returns_sorted_sample(self):
-        s = sample(parse_spec("cauchy()"), 100, RngStream(0))
-        assert isinstance(s, Sample)
-        assert np.all(np.diff(s.values) >= 0)
-
-    def test_rejects_nonpositive_n(self):
-        with pytest.raises(DistributionSpecError):
-            sample(parse_spec("normal()"), 0, RngStream(0))
 
 
 def _scipy_frozen(spec: DistributionSpec):
@@ -183,21 +184,21 @@ def test_kolmogorov_smirnov(index, spec):
 
 class TestMomentSpotChecks:
     def test_uniform_mean(self):
-        s = sample(parse_spec("uniform(a=0,b=1)"), 10**6, RngStream(1, 1))
-        assert float(s.values.mean()) == pytest.approx(0.5, abs=0.002)
+        s = parse_spec("uniform(a=0,b=1)").draw(RngStream(1, 1).generator(), 10**6)
+        assert float(s.mean()) == pytest.approx(0.5, abs=0.002)
 
     def test_normal_quartile_mass(self):
-        s = sample(parse_spec("normal(m=0,sd=1)"), 10**6, RngStream(1, 2))
-        fraction = float(np.mean(s.values < 0.674489750196082))
+        s = parse_spec("normal(m=0,sd=1)").draw(RngStream(1, 2).generator(), 10**6)
+        fraction = float(np.mean(s < 0.674489750196082))
         assert fraction == pytest.approx(0.75, abs=0.002)
 
     def test_exponential_median(self):
-        s = sample(parse_spec("exp(rate=1)"), 10**6, RngStream(1, 3))
-        assert float(np.median(s.values)) == pytest.approx(math.log(2), abs=0.003)
+        s = parse_spec("exp(rate=1)").draw(RngStream(1, 3).generator(), 10**6)
+        assert float(np.median(s)) == pytest.approx(math.log(2), abs=0.003)
 
     def test_constant_family(self):
-        s = sample(parse_spec("constant(value=3.5)"), 100, RngStream(1, 4))
-        assert np.all(s.values == 3.5)
+        s = parse_spec("constant(value=3.5)").draw(RngStream(1, 4).generator(), 100)
+        assert np.all(s == 3.5)
 
     def test_draws_stay_finite_at_scale(self):
         # Heavy tails must not degenerate to inf even on huge draws.

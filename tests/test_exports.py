@@ -1,6 +1,9 @@
-"""Every name a module exports resolves, so ``from module import *`` works."""
+"""Every name a module exports resolves, so ``from module import *`` works,
+and every ``madkit`` name README.md shows resolves too."""
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +39,30 @@ def test_mad_exports():
         "mad_corrected",
         "mad_uncorrected",
     ]
+
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_library_example_runs():
+    block = re.search(r"^```python\n(.*?)^```", README, re.S | re.M).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+
+
+def _resolve(dotted: str):
+    """The object ``dotted`` names: its longest importable module prefix, then attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(dotted)
+
+
+@pytest.mark.parametrize("dotted", sorted(set(re.findall(r"\bmadkit(?:\.\w+)+", README))))
+def test_readme_names_resolve(dotted):
+    _resolve(dotted)

@@ -20,7 +20,7 @@ from madkit.mad import (
     mad_corrected,
     mad_uncorrected,
 )
-from madkit.quantiles import HD, SM, THD_SQRT, Sample, thd
+from madkit.quantiles import HD, SM, THD_SQRT, thd
 from madkit.simulate import fit_prediction
 
 Q75 = 0.674489750196082
@@ -84,7 +84,7 @@ class TestMadUncorrected:
             want = mad_uncorrected(np.sort(x), kind)
             assert mad_uncorrected(x, kind) == want
             assert mad_uncorrected(x.tolist(), kind) == want
-            assert mad_uncorrected(Sample(x), kind) == want
+            assert mad_uncorrected(tuple(x), kind) == want
             assert mad_uncorrected(x.reshape(1, -1), kind) == want
 
     def test_leaves_no_kernel_scratch(self):

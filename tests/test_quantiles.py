@@ -14,7 +14,6 @@ from madkit.quantiles import (
     SM,
     THD_SQRT,
     MedianEstimator,
-    Sample,
     beta_hdi,
     hd_quantile,
     hd_weights,
@@ -31,30 +30,46 @@ from madkit.specfun import BetaParams, beta_pdf
 ALL_KINDS = (SM, HD, THD_SQRT)
 
 
-class TestSample:
-    def test_sorts_on_construction(self):
-        s = Sample([3.0, 1.0, 2.0])
-        assert s.values.tolist() == [1.0, 2.0, 3.0]
-
+class TestInput:
     def test_rejects_non_finite(self):
         for bad in ([1.0, math.nan], [1.0, math.inf], [-math.inf]):
-            with pytest.raises(DomainError):
-                Sample(bad)
+            for kind in ALL_KINDS:
+                with pytest.raises(DomainError):
+                    median(bad, kind)
+            for estimate in (hf7_quantile, hd_quantile, thd_quantile):
+                with pytest.raises(DomainError):
+                    estimate(bad, 0.5)
 
-    def test_values_read_only(self):
-        s = Sample([1.0, 2.0])
-        with pytest.raises(ValueError):
-            s.values[0] = 5.0
+    def test_estimators_reject_empty(self):
+        for empty in ([], np.empty(0), ()):
+            for kind in ALL_KINDS:
+                with pytest.raises(SampleError, match="requires a nonempty sample"):
+                    median(empty, kind)
+            for estimate in (hf7_quantile, hd_quantile, thd_quantile):
+                with pytest.raises(SampleError, match="requires a nonempty sample"):
+                    estimate(empty, 0.5)
 
-    def test_empty_allowed_but_estimators_reject(self):
-        s = Sample([])
-        assert len(s) == 0
-        for kind in ALL_KINDS:
-            with pytest.raises(SampleError, match="requires a nonempty sample"):
-                median(s, kind)
-        for estimate in (hf7_quantile, hd_quantile, thd_quantile):
-            with pytest.raises(SampleError, match="requires a nonempty sample"):
-                estimate(s, 0.5)
+    def test_input_order_and_type_irrelevant(self):
+        x = np.random.default_rng(5).standard_normal(9)
+        for estimate in (
+            lambda v: median(v, SM),
+            lambda v: median(v, HD),
+            lambda v: median(v, THD_SQRT),
+            lambda v: hf7_quantile(v, 0.3),
+            lambda v: hd_quantile(v, 0.3),
+            lambda v: thd_quantile(v, 0.3),
+        ):
+            want = estimate(np.sort(x))
+            assert estimate(x) == want
+            assert estimate(x.tolist()) == want
+            assert estimate(tuple(x)) == want
+            assert estimate(x.reshape(3, 3)) == want
+
+    def test_input_left_unchanged(self):
+        x = np.array([3.0, 1.0, 2.0])
+        assert median(x, HD) == 2.0
+        assert hf7_quantile(x, 0.25) == 1.5
+        assert x.tolist() == [3.0, 1.0, 2.0]
 
 
 class TestHf7:
@@ -275,7 +290,15 @@ class TestMedianDispatch:
     def test_labels(self):
         assert SM.label == "sm" and HD.label == "hd"
         assert THD_SQRT.label == "thd-sqrt"
-        assert thd(0.25).label == "thd(0.25)"
+        assert [thd(w).label for w in (0.25, 0.3, 0.5, 1e-7)] == [
+            "thd(0.25)", "thd(0.3)", "thd(0.5)", "thd(1e-07)"]
+        assert thd(1 / 3).label == "thd(0.3333333333333333)"
+
+    @pytest.mark.parametrize("width", [0.1234567, 1 / 3, 1e-7, 0.25, 0.3, 0.5, 1.0])
+    def test_label_reads_back(self, width):
+        # A provenance line names its estimators by label; a rebuilt run
+        # must get the same widths back, not a 6-digit rounding of them.
+        assert parse_estimator(thd(width).label) == thd(width)
 
     def test_kind_validation(self):
         with pytest.raises(DomainError):
@@ -291,25 +314,25 @@ class TestStructuralIdentities:
         rng = np.random.default_rng(7)
         for _ in range(300):
             x = rng.standard_normal(2) * rng.uniform(0.1, 100)
-            s = Sample(x)
-            expected = 0.5 * (s.values[0] + s.values[1])
+            s = np.sort(x)
+            expected = 0.5 * (s[0] + s[1])
             for kind in ALL_KINDS:
-                assert median(s, kind) == expected
+                assert median(x, kind) == expected
 
     def test_n4_thd_sqrt_equals_sm_exactly(self):
         rng = np.random.default_rng(8)
         for _ in range(300):
-            s = Sample(rng.standard_normal(4) * 10)
-            assert median(s, THD_SQRT) == median(s, SM)
+            x = rng.standard_normal(4) * 10
+            assert median(x, THD_SQRT) == median(x, SM)
 
     def test_median_weights_reproduce_median(self):
         rng = np.random.default_rng(9)
         for n in (1, 2, 3, 4, 5, 8, 13, 40):
-            s = Sample(rng.standard_normal(n))
+            x = rng.standard_normal(n)
             for kind in ALL_KINDS:
                 w = median_weights(n, kind)
-                assert float(np.dot(w, s.values)) == pytest.approx(
-                    median(s, kind), rel=1e-13, abs=1e-13
+                assert float(np.dot(w, np.sort(x))) == pytest.approx(
+                    median(x, kind), rel=1e-13, abs=1e-13
                 )
 
 
@@ -332,11 +355,11 @@ class TestWeightProperties:
             for _ in range(60):
                 n = int(rng.integers(2, 12))
                 x = rng.standard_normal(n)
-                base = median(Sample(x), kind)
+                base = median(x, kind)
                 i = int(rng.integers(0, n))
                 x2 = x.copy()
                 x2[i] += abs(rng.standard_normal()) + 0.1
-                assert median(Sample(x2), kind) >= base - 1e-12
+                assert median(x2, kind) >= base - 1e-12
 
 
 def _dense_hd_reference(n, p):
@@ -569,8 +592,8 @@ class TestWeightCost:
     p=st.floats(0.01, 0.99),
 )
 def test_affine_equivariance(data, scale, shift, p):
-    s = Sample(data)
-    mapped = Sample(scale * np.asarray(data) + shift)
+    s = np.asarray(data)
+    mapped = scale * s + shift
     for estimate in (
         lambda v: hf7_quantile(v, p),
         lambda v: hd_quantile(v, p),

@@ -67,6 +67,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="sample size 5 is listed more than once"):
             make_config(sample_sizes=(3, 5, 4, 5, 3))
 
+    def test_seed_range(self):
+        # Philox keys are 64-bit: -1 and 2**64 + k would alias 2**64 - 1 and k.
+        for seed in (-1, 2**64, 2**65 - 1):
+            with pytest.raises(ConfigError, match=r"master_seed must lie in \[0, 2\*\*64\)"):
+                make_config(master_seed=seed)
+        for seed in (0, 2**64 - 1):
+            assert make_config(master_seed=seed).master_seed == seed
+
     def test_rejects_repeated_distribution(self):
         # Specs compare by family and parameter values, not by spelling.
         dists = (parse_spec("normal"), parse_spec("cauchy()"), parse_spec("normal(m=0,sd=1)"))
