@@ -21,6 +21,7 @@ import functools
 import os
 import sys
 import tempfile
+from collections import namedtuple
 
 import numpy as np
 
@@ -32,9 +33,10 @@ from madkit.mad import MODEL_CHOICES, factor_table, mad_corrected
 from madkit.quantiles import THD_SQRT, parse_estimator
 from madkit.simulate import (
     _FIT_RANGE,
-    _FLOAT_FMT,
     _STREAMS,
     SimulationConfig,
+    _cells,
+    _csv,
     efficiency,
     estimate_factors,
     fit_embedded,
@@ -96,26 +98,6 @@ def _range(text: str) -> tuple[float, float]:
         return float(low), float(high)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected numeric bounds in {text!r}")
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _default_threads() -> int:
-    env = os.environ.get("MADKIT_THREADS", "").strip()
-    if not env:
-        return 1
-    try:
-        return _positive_int(env)
-    except argparse.ArgumentTypeError:
-        raise MadkitError(f"MADKIT_THREADS must be a positive integer, got {env!r}") from None
 
 
 def _parse_lines(text: str) -> list[float]:
@@ -244,9 +226,9 @@ def _add_sim_flags(parser, default_reps: int, estimators: str = "") -> None:
                             help=estimators)
     parser.add_argument("--chunk-size", type=int, default=SimulationConfig.chunk_size,
                         help="repetitions per work chunk (default %(default)s)")
-    parser.add_argument("--threads", type=_positive_int, default=None,
-                        help="worker threads; results do not depend on this "
-                             "(default: MADKIT_THREADS or 1)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads, a positive integer; results do not "
+                             "depend on this (default 1)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write CSV to PATH instead of stdout")
 
@@ -308,23 +290,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The one row ``madkit mad`` prints, as CSV or one ``name value`` line per field.
+_MadRow = namedtuple("_MadRow", "n estimator mad0 factor mad")
+
+
 def _cmd_mad(args) -> int:
-    values = _read_numbers(args.input)
-    if len(values) < 2:
-        raise MadkitError(f"need at least 2 numbers, got {len(values)}")
-    result = mad_corrected(values, args.estimator, MODEL_CHOICES[args.model])
+    result = mad_corrected(_read_numbers(args.input), args.estimator, MODEL_CHOICES[args.model])
+    row = _MadRow(result.n, result.estimator.label, result.uncorrected, result.factor,
+                  result.corrected)
     if args.csv:
-        sys.stdout.write("n,estimator,mad0,factor,mad\n")
-        sys.stdout.write(
-            f"{result.n},{result.estimator.label},{_FLOAT_FMT % result.uncorrected},"
-            f"{_FLOAT_FMT % result.factor},{_FLOAT_FMT % result.corrected}\n"
-        )
+        sys.stdout.write(_csv([row]))
     else:
-        sys.stdout.write(f"n          {result.n}\n")
-        sys.stdout.write(f"estimator  {result.estimator.label}\n")
-        sys.stdout.write(f"mad0       {_FLOAT_FMT % result.uncorrected}\n")
-        sys.stdout.write(f"factor     {_FLOAT_FMT % result.factor}\n")
-        sys.stdout.write(f"mad        {_FLOAT_FMT % result.corrected}\n")
+        for name, cell in zip(row._fields, _cells(row)):
+            sys.stdout.write(f"{name:<10} {cell}\n")
         sys.stdout.write(f"factor_source {result.factor_source}\n")
     return 0
 
@@ -344,8 +322,7 @@ def _config_from(args) -> SimulationConfig:
 
 def _cmd_study(args, study) -> int:
     config = _config_from(args)
-    threads = args.threads if args.threads is not None else _default_threads()
-    report = study(config, threads=threads)
+    report = study(config, threads=args.threads)
     _write_report(report.to_csv(), args.out, _provenance(config))
     return 0
 
@@ -383,10 +360,7 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"madkit: internal check failed: {exc}", file=sys.stderr)
         return 3
-    except MadkitError as exc:
-        print(f"madkit: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MadkitError, OSError) as exc:
         print(f"madkit: {exc}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,7 @@ predate the built-in tables and apply to the sample-median MAD only.
 from __future__ import annotations
 
 import math
+import operator
 import statistics
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -46,11 +47,19 @@ def asymptotic_factor() -> float:
     return 1.0 / _Q75
 
 
-def _check_n(n: int) -> None:
+def _integer(name: str, value, error=FactorRangeError) -> int:
+    """``value`` by ``operator.index``: an int or NumPy integer, not a float such as 5.0."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_n(n: int) -> int:
+    n = _integer("a sample size", n)
     if n < 2:
-        raise FactorRangeError(
-            f"no unbiased correction factor exists for n = {n}; need n >= 2"
-        )
+        raise FactorRangeError(f"no unbiased correction factor exists for n = {n}; need n >= 2")
+    return n
 
 
 def _table_key(kind: MedianEstimator) -> str:
@@ -110,7 +119,7 @@ def _hayes(n: int, kind: MedianEstimator) -> float:
     if n < 9:
         raise FactorRangeError(f"the Hayes scheme requires n >= 9, got {n}")
     alpha, beta = tables.HAYES_ODD if n % 2 else tables.HAYES_EVEN
-    return 1.0 / (_Q75 * (1.0 - alpha / n - beta / (n * n)))
+    return _fitted_form(n, -alpha, -beta)
 
 
 def _park(n: int, kind: MedianEstimator) -> float:
@@ -141,8 +150,7 @@ def correction_factor(
     n: int, kind: MedianEstimator = SM, model: _Model = DEFAULT_MODEL
 ) -> float:
     """Bias-correction factor C_n for the given estimator under ``model``."""
-    _check_n(n)
-    return model(n, kind)
+    return model(_check_n(n), kind)
 
 
 @dataclass(frozen=True)

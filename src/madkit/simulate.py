@@ -44,6 +44,7 @@ from madkit.mad import (
     _Q75,
     DEFAULT_MODEL,
     _fitted_form,
+    _integer,
     correction_factor,
     factor_table,
     mad_corrected,
@@ -105,6 +106,7 @@ def _spec_key(dist: DistributionSpec) -> int:
 class SimulationConfig:
     """Shared Monte-Carlo configuration.
 
+    The integer fields refuse a float such as 5.0 rather than truncate it.
     ``chunk_size`` is the repetition count per work unit and is part of the
     reproducibility contract: the same config gives bit-identical reports,
     any thread count.  No sample size, estimator or distribution may
@@ -121,7 +123,10 @@ class SimulationConfig:
     chunk_size: int = 16384
 
     def __post_init__(self):
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
+        for name in ("repetitions", "master_seed", "chunk_size"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), ConfigError))
+        object.__setattr__(self, "sample_sizes", tuple(
+            _integer("each of sample_sizes", n, ConfigError) for n in self.sample_sizes))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "distributions", tuple(self.distributions))
         if not 0 <= self.master_seed < 2**64:
@@ -171,11 +176,15 @@ class SensitivityRow(NamedTuple):
     dispersion: float
 
 
+def _cells(row: NamedTuple) -> list[str]:
+    """``row``'s values as text: each float by ``_FLOAT_FMT``, anything else by ``str``."""
+    return [_FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row]
+
+
 def _csv(rows: Sequence[NamedTuple]) -> str:
     """``rows``, at least one, as CSV headed by their field names."""
     lines = [",".join(rows[0]._fields)]
-    lines += [",".join(_FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row)
-              for row in rows]
+    lines += [",".join(_cells(row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -285,7 +294,10 @@ def _run_cells(config: SimulationConfig, cells: Sequence, prepare: Callable,
     thread's ``"samples"`` scratch, reused chunk after chunk like the
     kernel's blocks.  A chunk's floating-point overflow is left to the
     study's checks on its parts and rows, not reported as a NumPy warning.
+    ``threads``, the worker count, is an integer >= 1 or a ``ConfigError``.
     """
+    if _integer("threads", threads, ConfigError) < 1:
+        raise ConfigError(f"threads must be a positive integer, got {threads}")
     reps, size = config.repetitions, config.chunk_size
     per_cell = (reps + size - 1) // size
 
@@ -338,16 +350,12 @@ def estimate_factors(config: SimulationConfig, threads: int = 1) -> FactorReport
 
     rows = _run_cells(config, config.sample_sizes, prepare, aggregate, threads)
     report = FactorReport(tuple(rows))
-    _check_factor_report(report)
-    return report
-
-
-def _check_factor_report(report: FactorReport) -> None:
     for row in report.rows:
         if not (math.isfinite(row.c_n) and row.c_n > 0.0):
             raise InternalCheckError(f"non-finite factor estimate in row {row}")
         if abs(row.c_n * row.m_n - 1.0) > 1e-12:
             raise InternalCheckError(f"c_n * m_n != 1 in row {row}")
+    return report
 
 
 def efficiency(config: SimulationConfig, threads: int = 1) -> EfficiencyReport:

@@ -79,9 +79,10 @@ class TestMadCommand:
         assert "line 2" in err
 
     def test_too_few_values(self, capsys, monkeypatch):
-        code, _, err = run_cli(["mad", "-"], capsys, "42\n", monkeypatch)
-        assert code == 2
-        assert "at least 2" in err
+        # The library's check, the only one on the sample size.
+        for n, text in enumerate(["\n", "42\n"]):
+            result = run_cli(["mad", "-"], capsys, text, monkeypatch)
+            assert result == (2, "", f"madkit: MAD requires at least two observations, got {n}\n")
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["mad", "/definitely/not/here.txt"], capsys)
@@ -187,6 +188,23 @@ class TestMadCommand:
         path.write_text("\n".join(str((i * 37) % 101 / 4) for i in range(150)) + "\n")
         code, out, err = run_cli(["mad", str(path), "--csv", "--model", model], capsys)
         assert (code, out, err) == (0, f"n,estimator,mad0,factor,mad\n{row}\n", "")
+
+    def test_whole_output_in_both_forms(self, capsys, tmp_path):
+        # Both forms print the same row; pinned byte for byte.
+        path = tmp_path / "n150.txt"
+        path.write_text("\n".join(str((i * 37) % 101 / 4) for i in range(150)) + "\n")
+        assert run_cli(["mad", str(path), "--estimator", "hd"], capsys) == (0, (
+            "n          150\n"
+            "estimator  hd\n"
+            "mad0       6.346089004\n"
+            "factor     1.487979777\n"
+            "mad        9.442852104\n"
+            "factor_source fitted\n"
+        ), "")
+        assert run_cli(["mad", str(path), "--estimator", "hd", "--csv"], capsys) == (0, (
+            "n,estimator,mad0,factor,mad\n"
+            "150,hd,6.346089004,1.487979777,9.442852104\n"
+        ), "")
 
     def test_hayes_below_its_range_exits_2(self, capsys, monkeypatch):
         result = run_cli(["mad", "-", "--csv", "--model", "hayes"], capsys, "0 1 2 3 4", monkeypatch)
@@ -630,35 +648,25 @@ class TestParserReuse:
 
 
 class TestThreadsAndInternalChecks:
-    def test_threads_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("MADKIT_THREADS", "3")
-        args = ["factors", "--n", "2", "--reps", "2000", "--seed", "5"]
-        _, with_env, _ = run_cli(args, capsys)
-        monkeypatch.delenv("MADKIT_THREADS")
-        _, without_env, _ = run_cli(args, capsys)
-        assert body_of(with_env) == body_of(without_env)
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_malformed_threads_env_exits_2(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("MADKIT_THREADS", value)
-        code, out, err = run_cli(["factors", "--n", "2", "--reps", "2000"], capsys)
-        assert code == 2 and out == ""
-        assert err == f"madkit: MADKIT_THREADS must be a positive integer, got {value!r}\n"
-
     @pytest.mark.parametrize("command", ["factors", "efficiency", "sensitivity"])
     @pytest.mark.parametrize("value", ["0", "-4", "abc"])
     def test_threads_flag_must_be_positive(self, capsys, command, value):
-        with pytest.raises(SystemExit) as excinfo:
-            main([command, "--n", "2", "--reps", "2000", "--threads", value])
-        assert excinfo.value.code == 2
-        assert "expected a positive integer" in capsys.readouterr().err
+        argv = [command, "--n", "2", "--reps", "2000", "--threads", value]
+        if value == "abc":
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "argument --threads: invalid int value: 'abc'" in capsys.readouterr().err
+        else:
+            # Refused by the study, as a bad --reps or --chunk-size is.
+            expected = f"madkit: threads must be a positive integer, got {value}\n"
+            assert run_cli(argv, capsys) == (2, "", expected)
 
-    def test_threads_flag_overrides_env(self, capsys, monkeypatch):
+    def test_threads_env_is_not_read(self, capsys, monkeypatch):
         monkeypatch.setenv("MADKIT_THREADS", "abc")
-        code, _, _ = run_cli(
-            ["factors", "--n", "2", "--reps", "2000", "--threads", "2"], capsys
-        )
-        assert code == 0
+        code, out, err = run_cli(["factors", "--n", "2", "--reps", "2000"], capsys)
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 5  # provenance, header, one row per estimator
 
     def test_internal_check_failure_exits_3(self, capsys, monkeypatch):
         from madkit import cli

@@ -157,6 +157,19 @@ class TestDefaultModel:
         with pytest.raises(FactorRangeError):
             correction_factor(1, SM)
 
+    @pytest.mark.parametrize("n", [5.5, 100.5, 5.0, "5"])
+    def test_rejects_n_that_is_not_an_integer(self, n):
+        # 5.5 once raised a bare KeyError from the table, 100.5 returned a
+        # factor from the fitted equation.
+        with pytest.raises(FactorRangeError, match=f"must be an integer, got {n!r}"):
+            correction_factor(n, HD)
+
+    def test_numpy_integer_n_is_an_int(self):
+        seen = []
+        assert correction_factor(np.int64(150), HD) == correction_factor(150, HD)
+        correction_factor(np.uint16(7), SM, lambda n, kind: seen.append(n) or 1.0)
+        assert seen == [7] and type(seen[0]) is int
+
     def test_custom_thd_width_refused_beyond_n2(self):
         with pytest.raises(FactorRangeError):
             correction_factor(10, thd(0.3))
@@ -291,6 +304,14 @@ class TestLegacyModels:
     def test_hayes_even(self):
         expected = 1.0 / (Q75 * (1.0 - 0.7612 / 10 - 1.123 / 100))
         assert legacy("hayes", 10) == pytest.approx(expected, abs=1e-12)
+
+    def test_hayes_is_the_fitted_form_bit_for_bit(self):
+        # The scheme's own expression, kept as the reference for its
+        # _fitted_form(n, -alpha, -beta) spelling.
+        for n in range(9, 100_001):
+            alpha, beta = tables.HAYES_ODD if n % 2 else tables.HAYES_EVEN
+            expected = 1.0 / (_Q75 * (1.0 - alpha / n - beta / (n * n)))
+            assert legacy("hayes", n).hex() == expected.hex(), n
 
     def test_hayes_below_range(self):
         with pytest.raises(FactorRangeError, match="Hayes scheme requires n >= 9, got 8"):

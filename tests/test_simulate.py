@@ -82,6 +82,53 @@ class TestConfig:
             make_config(distributions=dists)
 
 
+    @pytest.mark.parametrize("field,value", [
+        ("sample_sizes", (5.7,)), ("sample_sizes", (5.0,)), ("repetitions", 200.0),
+        ("chunk_size", 64.0), ("master_seed", 1.5), ("master_seed", "1"),
+    ])
+    def test_rejects_integer_field_that_is_not_an_integer(self, field, value):
+        # 5.7 once ran as n = 5; the others failed in range() or the Philox key.
+        shown = value[0] if field == "sample_sizes" else value
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got {shown!r}"):
+            make_config(**{field: value})
+
+    def test_numpy_integer_fields_are_ints(self):
+        cfg = make_config(sample_sizes=(np.int64(5), np.uint8(3)), repetitions=np.int32(200),
+                          master_seed=np.uint64(2**64 - 1), chunk_size=np.int16(64))
+        assert cfg == make_config(sample_sizes=(5, 3), repetitions=200, master_seed=2**64 - 1,
+                                  chunk_size=64)
+        assert all(type(v) is int for v in (*cfg.sample_sizes, cfg.repetitions,
+                                            cfg.master_seed, cfg.chunk_size))
+        # A NumPy integer is a worker count too.
+        assert estimate_factors(cfg, threads=np.int64(2)).rows == estimate_factors(cfg).rows
+
+
+STUDIES = [
+    (estimate_factors, {}),
+    (efficiency, {}),
+    (sensitivity, {"distributions": (parse_spec("normal"),)}),
+]
+
+
+class TestThreads:
+    """The studies, not their callers, check the worker count."""
+
+    @pytest.mark.parametrize("study,extra", STUDIES)
+    @pytest.mark.parametrize("threads,message", [
+        (0, "threads must be a positive integer, got 0"),
+        (-3, "threads must be a positive integer, got -3"),
+        (2.5, "threads must be an integer, got 2.5"),
+        ("2", "threads must be an integer, got '2'"),
+    ])
+    def test_refuses_a_count_that_is_not_a_positive_integer(self, study, extra, threads,
+                                                            message, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(simulate, "RngStream", lambda *key: drawn.append(key))
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            study(make_config(sample_sizes=(5,), repetitions=200, **extra), threads=threads)
+        assert drawn == []  # refused before any chunk ran
+
+
 class TestEstimateFactors:
     def test_rows_and_invariant(self):
         report = estimate_factors(make_config())
