@@ -43,7 +43,9 @@ such a sequence, then orders them from that layout: padded to the next
 power of two, with the comparators that touch a pad wire dropped, it takes
 15 comparators at n = 10 where the sort takes 32.  Both plans are
 generated for any ``n`` and cached per ``n`` on first use.  Wider rows,
-and a call of one row, keep ``np.sort`` on rows.
+a call of one row and the wire path's NaN rows take ``_mad_np_sort``:
+copy the block to a buffer, ``np.sort`` its rows, then both medians per
+weight vector, the deviations sorted in a second buffer.
 
 Bitwise contract.  The networks give the values of ``np.sort``: a sort is
 a permutation, so only the order of equal values can differ, which for
@@ -65,14 +67,15 @@ Blocks.  ``mad0_batch`` walks the rows in blocks of about
 cache.  ``weights`` may stack ``k`` estimators' vectors as a ``(k, n)``
 array: the first sort of each block is then shared by all of them.
 
-Scratch.  A block's two wire buffers (for wide rows, its sorted rows and
-their deviations) are views of one float64 array per thread
-(``thread_scratch``), grown when a call needs more and never shrunk:
-blocks of a few MB allocated per chunk were returned to the OS (glibc
-maps them) and faulted in again by the next chunk.  A one-row call takes
-none (``_mad_np_sort``).  The result is always a fresh array.  Only the
-kernel and ``simulate._run_cells``, which keeps each chunk's samples in
-scratch and releases the calling thread's when a study ends, use it.
+Scratch.  In a call of more than one row, a block's two buffers (wire
+buffers, or sorted rows and their deviations) are views of one float64
+array per thread (``thread_scratch``), grown when a call needs more and
+never shrunk: blocks of a few MB allocated per chunk were returned to the
+OS (glibc maps them) and faulted in again by the next chunk.  A one-row
+call's two buffers share one fresh array.  The result is always fresh.
+Only the kernel and ``simulate._run_cells``, which keeps each chunk's
+samples in scratch, use it; a study's chunks run on its pool's workers,
+so its scratch ends with them and the calling thread holds none.
 """
 from __future__ import annotations
 
@@ -126,11 +129,6 @@ def thread_scratch(slot: str, size: int) -> np.ndarray:
         values = np.empty(size)
         setattr(_scratch, slot, values)
     return values
-
-
-def release_thread_scratch() -> None:
-    """Drop this thread's scratch arrays; the next call allocates afresh."""
-    _scratch.__dict__.clear()
 
 
 def _batcher_pairs(n: int) -> tuple[tuple[int, int], ...]:
@@ -232,31 +230,20 @@ def _weighted_median(cols, weights: np.ndarray) -> np.ndarray:
     return np.minimum(med, cols[-1], out=med)
 
 
-def _mad_sorted_rows(xs: np.ndarray, stack: np.ndarray, out: np.ndarray,
-                     dev: np.ndarray) -> None:
-    """MADs of the sorted rows ``xs`` into ``out[k]``, one per weight vector ``stack[k]``.
+def _mad_np_sort(block: np.ndarray, stack: np.ndarray, out: np.ndarray,
+                 xs: np.ndarray, dev: np.ndarray) -> None:
+    """MADs of the ``(rows, n)`` ``block`` into ``out[k]``, sorted by ``np.sort``.
 
-    ``dev`` is scratch of the shape of ``xs``.
+    ``xs`` and ``dev``, of the block's shape, take its sorted rows and
+    their sorted deviations.
     """
+    np.copyto(xs, block)
+    xs.sort(axis=1)
     for k, wk in enumerate(stack):
         np.subtract(xs, _weighted_median(xs.T, wk)[:, None], out=dev)
         np.abs(dev, out=dev)
         dev.sort(axis=1)
         out[k] = _weighted_median(dev.T, wk)
-
-
-def _mad_np_sort(rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """The ``(k, len(rows))`` MADs of ``rows``, on ``np.sort`` in one fresh array.
-
-    A second array for the deviations took about 1.35x the time on one row
-    of 1e5 values (best of 7, 2-vCPU Xeon).
-    """
-    xs, dev = np.empty((2, *rows.shape))
-    np.copyto(xs, rows)
-    xs.sort(axis=1)
-    mads = np.empty((len(stack), len(rows)))
-    _mad_sorted_rows(xs, stack, mads, dev)
-    return mads
 
 
 def _mad_wires(block: np.ndarray, stack: np.ndarray, out: np.ndarray,
@@ -276,7 +263,10 @@ def _mad_wires(block: np.ndarray, stack: np.ndarray, out: np.ndarray,
         out[k] = _weighted_median(sorted_devs, wk)
     nan = np.isnan(wires[where[0]])  # NaN reaches the first wire
     if nan.any():
-        out[:, nan] = _mad_np_sort(block[nan], stack)
+        bad = block[nan]
+        mads = np.empty((len(stack), len(bad)))
+        _mad_np_sort(bad, stack, mads, *np.empty((2, *bad.shape)))
+        out[:, nan] = mads
 
 
 def mad0_batch(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -294,31 +284,28 @@ def mad0_batch(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
     stack = w.reshape(1, -1) if w.ndim == 1 else w
     if stack.ndim != 2 or stack.shape[1] != n:
         raise ValueError(f"weights of shape {w.shape} do not match rows of width {n}")
-    if rows == 1:  # a ``madkit mad`` call keeps no scratch
-        mads = _mad_np_sort(x, stack)
-        return mads[0] if w.ndim == 1 else mads
     mads = np.empty((len(stack), rows))
     step = max(1, min(rows, _BLOCK_VALUES // max(n, 1)))
-    narrow = 2 <= n <= _NARROW_MAX_WIDTH
-    shape = (n + 1, step) if narrow else (step, n)
+    wired = rows > 1 and 2 <= n <= _NARROW_MAX_WIDTH
+    shape = (n + 1, step) if wired else (step, n)
     size = shape[0] * shape[1]
     # A call takes at least two full blocks, so a study thread allocates its
     # scratch once for every width it meets: freeing a smaller array to grow
     # it raises glibc's dynamic mmap threshold, and the thread's later
     # temporaries then stay in its heap (sensitivity, n = 5 then 30: 3 MB
-    # more peak RSS).
-    scratch = thread_scratch("kernel", max(2 * size, 2 * _BLOCK_VALUES))
+    # more peak RSS).  A ``madkit mad`` call keeps none; two arrays in place
+    # of its one took about 1.35x the time on one row of 1e5 values (best
+    # of 7, 2-vCPU Xeon).
+    scratch = (thread_scratch("kernel", max(2 * size, 2 * _BLOCK_VALUES)) if rows > 1
+               else np.empty(2 * size))
     first = scratch[:size].reshape(shape)
     second = scratch[size:2 * size].reshape(shape)
     for start in range(0, rows, step):
         block = x[start:start + step]
         count = len(block)
         out = mads[:, start:start + count]
-        if narrow:
+        if wired:
             _mad_wires(block, stack, out, first[:, :count], second[:, :count])
         else:
-            xs = first[:count]
-            np.copyto(xs, block)
-            xs.sort(axis=1)
-            _mad_sorted_rows(xs, stack, out, second[:count])
+            _mad_np_sort(block, stack, out, first[:count], second[:count])
     return mads[0] if w.ndim == 1 else mads

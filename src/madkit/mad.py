@@ -26,7 +26,7 @@ import numpy as np
 from madkit import factor_tables as tables
 from madkit._kernel import mad0_batch
 from madkit.errors import DomainError, FactorRangeError, SampleError
-from madkit.quantiles import SM, MedianEstimator, finite_values, median_weights
+from madkit.quantiles import SM, MedianEstimator, _check_estimator, finite_values, median_weights
 
 __all__ = [
     "MadValue",
@@ -150,6 +150,7 @@ def correction_factor(
     n: int, kind: MedianEstimator = SM, model: _Model = DEFAULT_MODEL
 ) -> float:
     """Bias-correction factor C_n for the given estimator under ``model``."""
+    _check_estimator(kind)
     return model(_check_n(n), kind)
 
 

@@ -126,6 +126,11 @@ class MedianEstimator:
         return self.label
 
 
+def _check_estimator(kind) -> None:
+    if not isinstance(kind, MedianEstimator):
+        raise DomainError(f"the estimator must be a MedianEstimator, got {kind!r}")
+
+
 SM = MedianEstimator("sm")
 HD = MedianEstimator("hd")
 THD_SQRT = MedianEstimator("thd")
@@ -395,6 +400,7 @@ def median_weights(n: int, kind: MedianEstimator = SM) -> np.ndarray:
     HD drops weights below 2**-64 and evaluates the Beta CDF at O(sqrt(n))
     points.
     """
+    _check_estimator(kind)
     if n < 1:
         raise SampleError(f"need n >= 1, got {n}")
     if kind.kind == "sm":

@@ -20,10 +20,10 @@ distributions or sizes share the run or in what order they are listed.
 The worker-thread count affects only the wall time.
 
 A study runs all its cells through one pool of worker threads that lives
-for the whole study.  The chunks of every cell are fed to it in report
-order, a few ahead of the one the calling thread waits for, so the
-workers compute the next cell while the calling thread reduces the last
-one into its report rows.
+for the whole study, one worker or many.  The chunks of every cell are
+fed to it in report order, a few ahead of the one the calling thread
+waits for; the workers compute every chunk, and the calling thread only
+feeds them and aggregates each cell's parts into its report rows.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from madkit._kernel import mad0_batch, release_thread_scratch, thread_scratch
+from madkit._kernel import mad0_batch, thread_scratch
 from madkit.distributions import DistributionSpec, RngStream, derive_stream_id
 from madkit.errors import ConfigError, DomainError, InternalCheckError
 from madkit.mad import (
@@ -112,7 +112,8 @@ class SimulationConfig:
     any thread count.  No sample size, estimator or distribution may
     repeat: its cells would draw the same samples and compute the same
     rows twice.  ``master_seed`` lies in [0, 2**64), the range of a Philox
-    key word: a seed outside it would alias one inside.
+    key word: a seed outside it would alias one inside.  The three tuple
+    fields take any iterable.
     """
 
     sample_sizes: tuple[int, ...]
@@ -125,10 +126,16 @@ class SimulationConfig:
     def __post_init__(self):
         for name in ("repetitions", "master_seed", "chunk_size"):
             object.__setattr__(self, name, _integer(name, getattr(self, name), ConfigError))
+        for name in ("sample_sizes", "estimators", "distributions"):
+            items = getattr(self, name)
+            if not isinstance(items, Iterable):
+                raise ConfigError(f"{name} must be an iterable, got {items!r}")
+            object.__setattr__(self, name, tuple(items))
         object.__setattr__(self, "sample_sizes", tuple(
             _integer("each of sample_sizes", n, ConfigError) for n in self.sample_sizes))
-        object.__setattr__(self, "estimators", tuple(self.estimators))
-        object.__setattr__(self, "distributions", tuple(self.distributions))
+        bad = [d for d in self.distributions if not isinstance(d, DistributionSpec)]
+        if bad:
+            raise ConfigError(f"each of distributions must be a DistributionSpec, got {bad[0]!r}")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if not self.sample_sizes:
@@ -228,16 +235,13 @@ class FitResult(NamedTuple):
 def _map_ordered(fn: Callable, items: Iterable, threads: int) -> Iterator:
     """``fn(item)`` for each of ``items``, yielded lazily and in order.
 
-    With ``threads`` > 1, one pool of ``threads`` workers runs the calls,
-    with at most ``2 * threads`` of them submitted and not yet yielded, so
-    ``items`` is read only that far ahead and the workers run on while the
-    caller handles a result.  A call that raises, or closing the generator,
-    cancels the calls not yet started; the pool's threads have ended when
-    it returns or raises.
+    One pool of ``threads`` workers runs the calls, with at most ``2 *
+    threads`` of them submitted and not yet yielded, so ``items`` is read
+    only that far ahead and the workers run on while the caller handles a
+    result.  A call that raises, or closing the generator, cancels the
+    calls not yet started; the pool's threads have ended when it returns
+    or raises.
     """
-    if threads <= 1:
-        yield from map(fn, items)
-        return
     items = iter(items)
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
@@ -288,12 +292,14 @@ def _run_cells(config: SimulationConfig, cells: Sequence, prepare: Callable,
     mad0_batch(samples, weights))``; ``weights`` is a ``(k, n)`` stack.
     ``parts`` are the cell's parts in chunk order.
 
-    Every chunk of every cell goes through one ``_map_ordered`` call, fed
-    lazily in report order, so the workers compute the next cell's chunks
-    while this thread aggregates the last one.  ``out`` is a view of the
-    thread's ``"samples"`` scratch, reused chunk after chunk like the
-    kernel's blocks.  A chunk's floating-point overflow is left to the
-    study's checks on its parts and rows, not reported as a NumPy warning.
+    Every chunk of every cell runs on one ``_map_ordered`` pool of
+    ``threads`` workers, capped at the chunk count and fed lazily in report
+    order, so the workers compute the next cell's chunks while this thread
+    aggregates the last one.  ``out`` is a view of the worker's
+    ``"samples"`` scratch, reused chunk after chunk like the kernel's
+    blocks; it ends with the worker.  A chunk's floating-point overflow is
+    left to the study's checks on its parts and rows, not reported as a
+    NumPy warning.
     ``threads``, the worker count, is an integer >= 1 or a ``ConfigError``.
     """
     if _integer("threads", threads, ConfigError) < 1:
@@ -323,7 +329,6 @@ def _run_cells(config: SimulationConfig, cells: Sequence, prepare: Callable,
                 for row in aggregate(cell, [next(parts) for _ in range(per_cell)])]
     finally:
         parts.close()  # on an error, cancels the chunks not yet started
-        release_thread_scratch()  # the calling thread's; the workers' end with them
 
 
 def estimate_factors(config: SimulationConfig, threads: int = 1) -> FactorReport:

@@ -355,6 +355,16 @@ class TestAsymptoticFactor:
 
 
 class TestMadCorrected:
+    @pytest.mark.parametrize("call", [
+        lambda: mad_corrected([1, 2, 3], "sm"),
+        lambda: mad_uncorrected([1, 2, 3], "hd"),
+        lambda: correction_factor(5, "hd"),
+        lambda: correction_factor(5, "sm", MODEL_CHOICES["park"]),
+    ])
+    def test_refuses_an_estimator_that_is_not_a_median_estimator(self, call):
+        with pytest.raises(DomainError, match="^the estimator must be a MedianEstimator, got '"):
+            call()
+
     def test_two_points(self):
         result = mad_corrected([0, 1], SM)
         assert result.uncorrected == 0.5

@@ -1,6 +1,7 @@
 """Estimator behavior: exact small-case values, structural identities,
 and the properties every weighted order-statistic estimator must satisfy."""
 import math
+import re
 import warnings
 
 import numpy as np
@@ -307,6 +308,15 @@ class TestMedianDispatch:
             thd(0.0)
         with pytest.raises(DomainError):
             thd(1.5)
+
+    @pytest.mark.parametrize("kind", ["hd", None, ("sm",)])
+    def test_refuses_an_estimator_that_is_not_a_median_estimator(self, kind):
+        # A label is not an estimator: its name is not read as one.
+        message = f"^the estimator must be a MedianEstimator, got {re.escape(repr(kind))}$"
+        with pytest.raises(DomainError, match=message):
+            median([1, 2, 3], kind)
+        with pytest.raises(DomainError, match=message):
+            median_weights(5, kind)
 
 
 class TestStructuralIdentities:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import pytest
 import madkit.simulate as simulate
 from madkit._kernel import mad0_batch
 from madkit.distributions import RngStream, derive_stream_id, parse_spec
-from madkit.errors import ConfigError
+from madkit.errors import ConfigError, DomainError
 from madkit.mad import _Q75 as Q75
 from madkit.mad import correction_factor, factor_table, mad_corrected
 from madkit.quantiles import HD, SM, THD_SQRT, median_weights, thd
@@ -80,6 +81,30 @@ class TestConfig:
         dists = (parse_spec("normal"), parse_spec("cauchy()"), parse_spec("normal(m=0,sd=1)"))
         with pytest.raises(ConfigError, match=r"distribution normal\(m=0,sd=1\) is listed"):
             make_config(distributions=dists)
+
+    @pytest.mark.parametrize("field,scalar,items", [
+        ("sample_sizes", 5, (2, 5)),
+        ("estimators", SM, (SM, HD)),
+        ("distributions", parse_spec("normal"), (parse_spec("normal"), parse_spec("cauchy"))),
+    ])
+    def test_tuple_field_takes_any_iterable_but_not_a_scalar(self, field, scalar, items):
+        with pytest.raises(ConfigError, match=f"^{field} must be an iterable, got "):
+            make_config(**{field: scalar})
+        for iterable in (list(items), iter(items), (item for item in items)):
+            assert getattr(make_config(**{field: iterable}), field) == items
+        assert make_config(sample_sizes=range(2, 6, 3)).sample_sizes == (2, 5)
+
+    def test_refuses_a_distribution_that_is_not_a_spec(self):
+        # A label is not a spec: sensitivity would fail on it mid-run.
+        with pytest.raises(ConfigError,
+                           match="^each of distributions must be a DistributionSpec, got 'normal'$"):
+            make_config(distributions=(parse_spec("cauchy"), "normal"))
+
+    def test_study_refuses_an_estimator_label(self):
+        # The estimators' element check is median_weights', which every
+        # study's weight stack goes through.
+        with pytest.raises(DomainError, match="^the estimator must be a MedianEstimator, got 'sm'$"):
+            estimate_factors(make_config(estimators=("sm",)))
 
 
     @pytest.mark.parametrize("field,value", [
@@ -414,20 +439,41 @@ class TestStreamContract:
         assert all(buffer is seen[0][1] for _, buffer in seen)
         assert all(np.shares_memory(out, buffer) for out, buffer in seen)
 
-    def test_study_on_calling_thread_leaves_no_scratch(self):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_study_leaves_the_calling_threads_scratch_as_it_was(self, threads):
+        # The chunks run on pool workers at every thread count, so the
+        # calling thread's scratch is neither used, grown nor dropped.
         from madkit import _kernel
 
-        _kernel.thread_scratch("samples", 1500)
-        estimate_factors(make_config(sample_sizes=(3,), repetitions=200), threads=1)
-        assert vars(_kernel._scratch) == {}
+        def run():
+            held = {slot: _kernel.thread_scratch(slot, 1500) for slot in ("samples", "kernel")}
+            estimate_factors(make_config(sample_sizes=(3, 5), repetitions=200, chunk_size=100),
+                             threads=threads)
+            return held, dict(vars(_kernel._scratch))
 
-    def test_threaded_study_leaves_no_scratch_on_calling_thread(self):
-        from madkit import _kernel
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            held, after = pool.submit(run).result()
+        assert after.keys() == held.keys()
+        assert all(after[slot] is held[slot] for slot in held)
 
-        _kernel.thread_scratch("samples", 1500)
-        estimate_factors(make_config(sample_sizes=(3, 5), repetitions=200, chunk_size=100),
-                         threads=2)
-        assert vars(_kernel._scratch) == {}
+    @pytest.mark.parametrize("study,extra", STUDIES)
+    def test_one_thread_draws_on_one_worker_not_the_caller(self, study, extra, monkeypatch):
+        from madkit.distributions import DistributionSpec
+
+        drawers = []
+        for owner, name in ((simulate, "_normal_matrix"), (DistributionSpec, "draw")):
+            draw = getattr(owner, name)
+
+            def recording(*args, draw=draw, **kwargs):
+                drawers.append(threading.current_thread())
+                return draw(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, recording)
+        study(make_config(sample_sizes=(3, 5), repetitions=300, chunk_size=100, **extra),
+              threads=1)
+        assert len(drawers) == 6
+        assert len(set(drawers)) == 1
+        assert drawers[0] is not threading.current_thread()
 
 
 class TestSubsetRuns:
@@ -570,7 +616,7 @@ class TestWorkerCount:
         report = estimate_factors(cfg, threads=2)
         assert pools == [2]
         assert report.rows == estimate_factors(cfg, threads=1).rows
-        assert pools == [2]  # one thread runs inline
+        assert pools == [2, 1]  # one thread is a pool of one worker
 
     def test_reads_items_only_a_window_ahead(self):
         fed = []
