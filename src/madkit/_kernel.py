@@ -70,12 +70,16 @@ array: the first sort of each block is then shared by all of them.
 Scratch.  In a call of more than one row, a block's two buffers (wire
 buffers, or sorted rows and their deviations) are views of one float64
 array per thread (``thread_scratch``), grown when a call needs more and
-never shrunk: blocks of a few MB allocated per chunk were returned to the
-OS (glibc maps them) and faulted in again by the next chunk.  A one-row
-call's two buffers share one fresh array.  The result is always fresh.
-Only the kernel and ``simulate._run_cells``, which keeps each chunk's
-samples in scratch, use it; a study's chunks run on its pool's workers,
-so its scratch ends with them and the calling thread holds none.
+never shrunk: blocks of a few MB allocated per call were returned to the
+OS (glibc maps them) and faulted in again by the next call.  A one-row
+call's two buffers share one fresh array.  The result is a fresh array
+or the caller's ``out``, never scratch.
+Only the kernel and ``simulate._run_cells`` use it.  ``_run_cells``
+keeps one kernel block of samples there, ``_BLOCK_VALUES // n`` rows (at
+least one), which it fills from the chunk's sampler before each kernel
+call, so a study worker holds three blocks of scratch whatever the chunk
+size.  A study's chunks run on its pool's workers, so its scratch ends
+with them and the calling thread holds none.
 """
 from __future__ import annotations
 
@@ -107,11 +111,13 @@ _NARROW_MAX_WIDTH = 12
 # perfbench's calibrate (cycle 1.83 and 1.73 s at 2**17 against 1.95 and
 # 1.79 s at 2**18, two alternated pairs), and 2**18 doubles the scratch of
 # wide rows (sensitivity's peak RSS, one run each: 116 against 111 MB).
-# A thread's scratch holds two blocks: for wide rows the sorted rows and
-# their deviations (2.1 MB), for rows of 2 to 12 values two ``(n + 1,
-# rows)`` wire buffers ((n + 1) / n times that: 3.1 MB at n = 2).  The
-# samplers in ``madkit.distributions`` fill a chunk in pieces of this size
-# too, so a draw's temporaries are one piece long.
+# A thread's kernel scratch holds two blocks: for wide rows the sorted rows
+# and their deviations (2.1 MB), for rows of 2 to 12 values two ``(n + 1,
+# rows)`` wire buffers ((n + 1) / n times that: 3.1 MB at n = 2).  A study
+# draws each chunk and passes it to the kernel one block at a time
+# (``simulate._run_cells``), so a study worker's samples are a third block;
+# the samplers in ``madkit.distributions`` fill their output in pieces of
+# this size, so a draw's temporaries are one piece long.
 _BLOCK_VALUES = 1 << 17
 
 _scratch = threading.local()
@@ -269,12 +275,15 @@ def _mad_wires(block: np.ndarray, stack: np.ndarray, out: np.ndarray,
         out[:, nan] = mads
 
 
-def mad0_batch(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def mad0_batch(samples: np.ndarray, weights: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Raw MAD per row of ``samples``, median as sum(weights * sorted row).
 
     ``weights`` of shape ``(n,)`` give a ``(rows,)`` result; a stack of
     shape ``(k, n)`` gives ``(k, rows)``, row ``k`` equal to the call with
-    ``weights[k]`` alone.
+    ``weights[k]`` alone.  ``out``, a float64 array of the result's shape
+    (a view such as a study's columns ``mads[:, start:stop]``), receives
+    the MADs and is returned.
     """
     x = np.asarray(samples, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
@@ -284,7 +293,13 @@ def mad0_batch(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
     stack = w.reshape(1, -1) if w.ndim == 1 else w
     if stack.ndim != 2 or stack.shape[1] != n:
         raise ValueError(f"weights of shape {w.shape} do not match rows of width {n}")
-    mads = np.empty((len(stack), rows))
+    result = (rows,) if w.ndim == 1 else (len(stack), rows)
+    if out is None:
+        out = np.empty(result)
+    elif out.shape != result or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {result}, "
+                         f"got {out.dtype} {out.shape}")
+    mads = out.reshape(len(stack), rows)
     step = max(1, min(rows, _BLOCK_VALUES // max(n, 1)))
     wired = rows > 1 and 2 <= n <= _NARROW_MAX_WIDTH
     shape = (n + 1, step) if wired else (step, n)
@@ -303,9 +318,9 @@ def mad0_batch(samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
     for start in range(0, rows, step):
         block = x[start:start + step]
         count = len(block)
-        out = mads[:, start:start + count]
+        part = mads[:, start:start + count]
         if wired:
-            _mad_wires(block, stack, out, first[:, :count], second[:, :count])
+            _mad_wires(block, stack, part, first[:, :count], second[:, :count])
         else:
-            _mad_np_sort(block, stack, out, first[:count], second[:count])
-    return mads[0] if w.ndim == 1 else mads
+            _mad_np_sort(block, stack, part, first[:count], second[:count])
+    return out

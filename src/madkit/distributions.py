@@ -88,8 +88,21 @@ def _open_uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 # is filled.  A second array (the integers behind a uniform, a Gamma
 # variate, triangular's upper branch) is drawn or computed one piece of
 # ``out`` at a time, in the order of the pieces.  The stream gives the
-# same values as one draw of the whole: a bounded 64-bit ``integers`` and
-# ``standard_gamma`` keep nothing from one call to the next.
+# same values as one draw of the whole: a bounded 64-bit ``integers``,
+# ``standard_normal`` and ``standard_gamma`` keep nothing from one call to
+# the next, so consecutive draws of one generator read it as one draw
+# does.
+#
+# Beta and Student's t read their stream in two passes over the whole
+# draw: the first fills ``out`` (Beta's first Gamma variate, Student's
+# normal), then ``second`` reads on from where it ended (Beta's second
+# Gamma variate, Student's chi-square) and combines piece by piece.  The
+# first pass is a Gamma or a normal, whose rejection steps make its length
+# in the stream depend on the values.  So ``DistributionSpec.sampler``
+# draws such a family block by block from two generators on one stream:
+# the first reads the first pass block by block, and the second, before
+# its first block, draws the whole first pass in pieces and throws it
+# away, which leaves it where the second pass starts.
 DrawFn = Callable[[np.random.Generator, np.ndarray, dict], np.ndarray]
 
 
@@ -100,6 +113,7 @@ class _Family:
     defaults: dict
     check: Callable[[dict], Union[str, None]]
     draw: DrawFn
+    second: Union[DrawFn, None] = None  # a two-pass family's second pass
 
 
 def _draw_uniform(rng, out, p):
@@ -138,8 +152,13 @@ def _draw_triangular(rng, out, p):
 
 
 def _draw_beta(rng, out, p):
-    # g1 / (g1 + g2)
-    for g1 in _pieces(rng.standard_gamma(p["a"], out=out)):
+    # g1
+    return rng.standard_gamma(p["a"], out=out)
+
+
+def _draw_beta_second(rng, out, p):
+    # g1 / (g1 + g2), ``out`` holding g1
+    for g1 in _pieces(out):
         g2 = rng.standard_gamma(p["b"], size=g1.size)
         g2 += g1
         g1 /= g2
@@ -166,9 +185,14 @@ def _draw_weibull(rng, out, p):
 
 
 def _draw_student(rng, out, p):
-    # z / sqrt(2 * gamma(df / 2) / df)
+    # z
+    return rng.standard_normal(out=out)
+
+
+def _draw_student_second(rng, out, p):
+    # z / sqrt(2 * gamma(df / 2) / df), ``out`` holding z
     df = p["df"]
-    for z in _pieces(rng.standard_normal(out=out)):
+    for z in _pieces(out):
         chi2 = rng.standard_gamma(df / 2.0, size=z.size)
         chi2 *= 2.0
         chi2 /= df
@@ -266,10 +290,10 @@ _FAMILIES = {
     for f in (
         _Family("uniform", ("a", "b"), {"a": 0.0, "b": 1.0}, _check_uniform, _draw_uniform),
         _Family("triangular", ("a", "b", "c"), {}, _check_triangular, _draw_triangular),
-        _Family("beta", ("a", "b"), {}, _positive("a", "b"), _draw_beta),
+        _Family("beta", ("a", "b"), {}, _positive("a", "b"), _draw_beta, _draw_beta_second),
         _Family("normal", ("m", "sd"), {"m": 0.0, "sd": 1.0}, _positive("sd"), _draw_normal),
         _Family("weibull", ("scale", "shape"), {"scale": 1.0}, _positive("scale", "shape"), _draw_weibull),
-        _Family("student", ("df",), {}, _positive("df"), _draw_student),
+        _Family("student", ("df",), {}, _positive("df"), _draw_student, _draw_student_second),
         _Family("gumbel", ("loc", "scale"), {"loc": 0.0, "scale": 1.0}, _positive("scale"), _draw_gumbel),
         _Family("exp", ("rate",), {"rate": 1.0}, _positive("rate"), _draw_exponential),
         _Family("cauchy", ("x0", "gamma"), {"x0": 0.0, "gamma": 1.0}, _positive("gamma"), _draw_cauchy),
@@ -321,13 +345,19 @@ class DistributionSpec:
     def _family(self) -> _Family:
         return _FAMILIES[self.family]
 
-    def draw(self, rng: np.random.Generator, size, out: np.ndarray | None = None) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, size, out: np.ndarray | None = None, *,
+             second: np.random.Generator | bool | None = None) -> np.ndarray:
         """Raw i.i.d. draws (unsorted), any shape.
 
         ``out``, a writeable C-contiguous float64 array of shape ``size``,
         receives the draws and is returned; it gets the values a fresh
         array would.  Beyond ``out``, a draw allocates at most a few arrays
         of ``_kernel._BLOCK_VALUES`` values, whatever ``size`` is.
+
+        ``second`` serves ``sampler``, for the two-pass families (beta,
+        student): a generator draws their second pass in place of ``rng``,
+        and ``False`` leaves it out, so ``out`` holds the first pass.  The
+        other families have one pass and ignore it.
         """
         shape = tuple(size) if np.iterable(size) else (size,)
         if out is None:
@@ -338,7 +368,38 @@ class DistributionSpec:
             )
         elif not (out.flags.c_contiguous and out.flags.writeable):
             raise ValueError("out must be a writeable C-contiguous array")
-        return self._family.draw(rng, out, dict(self.params))
+        family, params = self._family, dict(self.params)
+        family.draw(rng, out, params)
+        if family.second is not None and second is not False:
+            family.second(rng if second is None else second, out, params)
+        return out
+
+    def sampler(self, stream: RngStream, values: int) -> Callable[[np.ndarray], np.ndarray]:
+        """``fill(out)``, which draws ``values`` values from ``stream`` block by block.
+
+        Each call fills the C-contiguous float64 ``out`` with the next
+        ``out.size`` of the values ``self.draw(stream.generator(), values)``
+        gives, bit for bit, so a chunk need not be drawn in one array.  A
+        two-pass family (see ``DrawFn``) moves its second generator past
+        the whole first pass on the first call, drawing it into ``out`` a
+        block at a time.
+        """
+        rng = stream.generator()
+        if self._family.second is None:
+            return lambda out: self.draw(rng, out.shape, out=out)
+        second = stream.generator()
+        skipped = 0
+
+        def fill(out):
+            nonlocal skipped
+            flat = out.reshape(-1)
+            while skipped < values:
+                piece = flat[:values - skipped]
+                self.draw(second, piece.shape, out=piece, second=False)
+                skipped += piece.size
+            return self.draw(rng, out.shape, out=out, second=second)
+
+        return fill
 
     def __str__(self) -> str:
         args = ",".join(f"{k}={_format_param(v)}" for k, v in self.params)

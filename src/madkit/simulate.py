@@ -7,7 +7,9 @@ repetitions are split into chunks of ``chunk_size``; chunk i draws the
 cell's samples once, from the Philox stream ``RngStream(master_seed,
 derive_stream_id(*key, i))``, runs every estimator on them through one
 ``(k, n)`` stack of median weights, and the partial results are reduced
-in chunk order.  A cell's key starts with its study's tag:
+in chunk order.  A chunk is drawn and run through the kernel one block of
+rows at a time, and its rows get the values one draw of the whole chunk
+gives.  A cell's key starts with its study's tag:
 
 * factors: ``(1, n)``
 * efficiency: ``(2, n)``
@@ -37,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from madkit._kernel import mad0_batch, thread_scratch
+from madkit._kernel import _BLOCK_VALUES, mad0_batch, thread_scratch
 from madkit.distributions import DistributionSpec, RngStream, derive_stream_id
 from madkit.errors import ConfigError, DomainError, InternalCheckError
 from madkit.mad import (
@@ -277,8 +279,15 @@ def _normal_matrix(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return rng.standard_normal(out=out)
 
 
+def _normal_sampler(stream: RngStream, values: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The standard-normal ``fill(out)`` of ``DistributionSpec.sampler``: the
+    next ``out.size`` values of one draw from ``stream``."""
+    rng = stream.generator()
+    return lambda out: _normal_matrix(rng, out)
+
+
 def _weight_stack(n: int, estimators: Sequence[MedianEstimator]) -> np.ndarray:
-    """The ``(k, n)`` median weights of ``estimators``, for one kernel call per chunk."""
+    """The ``(k, n)`` median weights of ``estimators``, for one kernel call per block."""
     return np.stack([median_weights(n, est) for est in estimators])
 
 
@@ -286,20 +295,29 @@ def _run_cells(config: SimulationConfig, cells: Sequence, prepare: Callable,
                aggregate: Callable, threads: int) -> list:
     """The report rows ``aggregate(cell, parts)`` of each cell of a study, in order.
 
-    ``prepare(cell)`` gives the cell's ``(key, draw, weights, reduce)``:
-    chunk i fills its ``(count, n)`` samples with ``draw(rng, out)`` from
-    the stream keyed by ``(*key, i)``, and its part is ``reduce(
-    mad0_batch(samples, weights))``; ``weights`` is a ``(k, n)`` stack.
-    ``parts`` are the cell's parts in chunk order.
+    ``prepare(cell)`` gives the cell's ``(key, sampler, weights, reduce)``:
+    chunk i of ``count`` rows opens ``fill = sampler(stream, count * n)`` on
+    the stream keyed by ``(*key, i)``, and its part is ``reduce(mads)``,
+    ``mads`` being ``mad0_batch(samples, weights)`` of the chunk's ``(count,
+    n)`` samples for the ``(k, n)`` stack ``weights``.  ``parts`` are the
+    cell's parts in chunk order.
+
+    The samples are never one array: the chunk is taken in blocks of the
+    kernel's ``_BLOCK_VALUES // n`` rows (at least one), each filled by
+    ``fill`` in the worker's ``"samples"`` scratch and passed to one
+    ``mad0_batch`` call that writes its columns of ``mads`` in place, so a
+    chunk allocates one ``mads`` whatever its block count (a result per
+    block tripled ``factors``' minor page faults, as glibc handed the
+    freed arrays back to the OS).  ``fill`` gives each block the rows one
+    draw of the chunk would, so the parts do not depend on the block size.
+    The scratch ends with the worker.
 
     Every chunk of every cell runs on one ``_map_ordered`` pool of
     ``threads`` workers, capped at the chunk count and fed lazily in report
     order, so the workers compute the next cell's chunks while this thread
-    aggregates the last one.  ``out`` is a view of the worker's
-    ``"samples"`` scratch, reused chunk after chunk like the kernel's
-    blocks; it ends with the worker.  A chunk's floating-point overflow is
-    left to the study's checks on its parts and rows, not reported as a
-    NumPy warning.
+    aggregates the last one.  A chunk's floating-point overflow is left to
+    the study's checks on its parts and rows, not reported as a NumPy
+    warning.
     ``threads``, the worker count, is an integer >= 1 or a ``ConfigError``.
     """
     if _integer("threads", threads, ConfigError) < 1:
@@ -308,14 +326,20 @@ def _run_cells(config: SimulationConfig, cells: Sequence, prepare: Callable,
     per_cell = (reps + size - 1) // size
 
     def chunk_part(item):
-        key, draw, weights, reduce, index = item
-        stream = RngStream(config.master_seed, derive_stream_id(*key, index))
+        key, sampler, weights, reduce, index = item
         count, n = min(size, reps - index * size), weights.shape[-1]
-        samples = thread_scratch("samples", count * n)[:count * n].reshape(count, n)
-        # The generator is freed before the kernel runs.
+        rows = min(count, max(1, _BLOCK_VALUES // n))
+        block = thread_scratch("samples", rows * n)[:rows * n].reshape(rows, n)
+        mads = np.empty((len(weights), count))
         with np.errstate(over="ignore", invalid="ignore"):
-            draw(stream.generator(), samples)
-            return reduce(mad0_batch(samples, weights))
+            # Opening the sampler builds its generators, and NumPy warns of
+            # an invalid cast when it builds a Philox key from a seed at or
+            # above 2**63.
+            fill = sampler(RngStream(config.master_seed, derive_stream_id(*key, index)), count * n)
+            for start in range(0, count, rows):
+                samples = fill(block[:count - start])
+                mad0_batch(samples, weights, out=mads[:, start:start + len(samples)])
+            return reduce(mads)
 
     def items():
         for cell in cells:
@@ -342,7 +366,7 @@ def estimate_factors(config: SimulationConfig, threads: int = 1) -> FactorReport
     reps = config.repetitions
 
     def prepare(n):
-        return ((_TAG_FACTORS, n), _normal_matrix, _weight_stack(n, config.estimators),
+        return ((_TAG_FACTORS, n), _normal_sampler, _weight_stack(n, config.estimators),
                 lambda mads: [_moments(m) for m in mads])
 
     def aggregate(n, parts):
@@ -376,7 +400,7 @@ def efficiency(config: SimulationConfig, threads: int = 1) -> EfficiencyReport:
 
     def prepare(n):
         factors = [correction_factor(n, est) for est in config.estimators]
-        return ((_TAG_EFFICIENCY, n), _normal_matrix, _weight_stack(n, config.estimators),
+        return ((_TAG_EFFICIENCY, n), _normal_sampler, _weight_stack(n, config.estimators),
                 lambda mads: [_moments(m * f) for m, f in zip(mads, factors)])
 
     def aggregate(n, parts):
@@ -428,8 +452,7 @@ def sensitivity(config: SimulationConfig, threads: int = 1) -> SensitivityReport
                                   "in float64; rescale the distribution")
             return estimates
 
-        return ((_TAG_SENSITIVITY, _spec_key(dist), n),
-                lambda rng, out: dist.draw(rng, out.shape, out=out),
+        return ((_TAG_SENSITIVITY, _spec_key(dist), n), dist.sampler,
                 _weight_stack(n, config.estimators), reduce)
 
     def aggregate(cell, parts):

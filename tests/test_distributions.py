@@ -322,15 +322,65 @@ class TestDrawInto:
         assert not out.any()
 
     @pytest.mark.parametrize("spec", DRAW_SPECS, ids=str)
-    def test_temporaries_are_pieces_not_a_chunk(self, spec):
-        # Beyond out, a (16384, 100) draw allocates a few arrays of one piece
-        # each; a second array the size of the chunk would be 12.5 MiB.
-        out = np.empty((16384, 100))
-        rng = RngStream(5).generator()
+    @pytest.mark.parametrize("how", ["whole", "blocks"])
+    def test_temporaries_are_pieces_not_a_chunk(self, spec, how):
+        # Beyond out, a (16384, 100) chunk, drawn whole or by its sampler
+        # in kernel blocks, allocates a few arrays of one piece each; a
+        # second array the size of the chunk would be 12.5 MiB.  A two-pass
+        # family's thrown-away first pass goes into the block.
+        shape = (16384, 100)
+        out = np.empty(shape if how == "whole" else (_BLOCK_VALUES // 100, 100))
+        stream = RngStream(5)
         tracemalloc.start()
         try:
-            spec.draw(rng, out.shape, out=out)
+            if how == "whole":
+                spec.draw(stream.generator(), shape, out=out)
+            else:
+                for _ in _blocks(spec.sampler(stream, shape[0] * shape[1]), shape[0], out):
+                    pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 3 * _BLOCK_VALUES * 8, spec
+
+
+def _blocks(fill, count, block):
+    """A chunk of ``count`` rows filled through ``fill`` in the rows of
+    ``block``, one block after another: yields each filled block."""
+    rows = len(block)
+    for start in range(0, count, rows):
+        yield fill(block[:count - start])
+
+
+# (chunk shape, rows per block): one row per block; an odd block size that
+# leaves a remainder; a chunk of more than one _BLOCK_VALUES piece in
+# blocks of the kernel's size; a row wider than a piece.
+BLOCKINGS = [((37, 5), 1), ((1000, 7), 13), ((50001, 7), _BLOCK_VALUES // 7),
+             ((2, _BLOCK_VALUES + 3), 1)]
+
+
+class TestSampler:
+    """A sampler fills a chunk block by block with the values of one draw of it."""
+
+    def test_draw_specs_cover_every_family(self):
+        assert {spec.family for spec in DRAW_SPECS} == set(_FAMILIES)
+
+    @staticmethod
+    def check(sampler, whole, shape, rows):
+        stream = RngStream(31, 7)
+        block = np.full((rows, shape[1]), np.nan)  # stale contents must not leak through
+        fill = sampler(stream, shape[0] * shape[1])
+        got = np.concatenate([b.copy() for b in _blocks(fill, shape[0], block)])
+        expected = whole(stream.generator(), shape)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("spec", DRAW_SPECS, ids=str)
+    @pytest.mark.parametrize("shape,rows", BLOCKINGS)
+    def test_blocks_get_the_values_of_one_draw(self, spec, shape, rows):
+        self.check(spec.sampler, spec.draw, shape, rows)
+
+    @pytest.mark.parametrize("shape,rows", BLOCKINGS)
+    def test_studies_normal_sampler(self, shape, rows):
+        from madkit.simulate import _normal_sampler
+
+        self.check(_normal_sampler, lambda rng, size: rng.standard_normal(size), shape, rows)

@@ -332,6 +332,32 @@ def test_stacked_weights_match_single_calls(n):
     assert mad0_batch(samples, stack[:1]).shape == (1, len(samples))
 
 
+@pytest.mark.parametrize("n", (1, 5, LIMIT + 1, 100))
+def test_out_gets_the_values_of_a_fresh_call(n):
+    # As a study passes it: the columns of a larger result, stale contents
+    # included; the columns outside stay as they were.
+    rng = np.random.default_rng(25)
+    samples = rng.standard_normal((2 * _block_rows(n) + 5, n))
+    stack = np.stack([median_weights(n, kind) for kind in ALL_KINDS])
+    rows = len(samples)
+    mads = np.full((len(stack), rows + 7), np.nan)
+    cols = mads[:, 3:3 + rows]
+    assert mad0_batch(samples, stack, out=cols) is cols
+    assert np.array_equal(_bits(cols), _bits(mad0_batch(samples, stack)))
+    assert np.isnan(mads[:, :3]).all() and np.isnan(mads[:, 3 + rows:]).all()
+    one = np.full(rows, np.nan)
+    assert mad0_batch(samples, stack[1], out=one) is one
+    assert np.array_equal(_bits(one), _bits(cols[1]))
+
+
+@pytest.mark.parametrize("out", [np.empty((3, 9)), np.empty(10), np.empty((3, 10), np.float32)],
+                         ids=["shape", "flat", "dtype"])
+def test_rejects_mismatched_out(out):
+    stack = np.stack([median_weights(5, kind) for kind in ALL_KINDS])
+    with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+        mad0_batch(np.zeros((10, 5)), stack, out=out)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label)
 def test_non_finite_and_signed_zero_rows_match_reference(kind):
     rng = np.random.default_rng(24)

@@ -435,9 +435,32 @@ class TestStreamContract:
         cfg = make_config(sample_sizes=(7, 3), repetitions=300, chunk_size=100,
                           distributions=(parse_spec("student(df=3)"),))
         (estimate_factors if study == "factors" else sensitivity)(cfg, threads=1)
-        assert len(seen) == 6
+        # Each chunk is one block; student's second generator first draws
+        # the chunk's normals into it and throws them away.
+        assert len(seen) == (6 if study == "factors" else 12)
         assert all(buffer is seen[0][1] for _, buffer in seen)
         assert all(np.shares_memory(out, buffer) for out, buffer in seen)
+
+    def test_a_worker_holds_one_kernel_block_of_samples(self, monkeypatch):
+        # A chunk of 2000 rows at n = 1000 is drawn and run through the
+        # kernel in blocks of 131 rows, so the sample scratch never holds
+        # the chunk's 2e6 values, two-pass samplers included.
+        from madkit import _kernel
+        from madkit.distributions import DistributionSpec
+
+        draw = DistributionSpec.draw
+        held = []
+
+        def recording_draw(*args, **kwargs):
+            held.append(_kernel.thread_scratch("samples", 0).size)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(DistributionSpec, "draw", recording_draw)
+        dists = tuple(parse_spec(t) for t in ("beta(a=2,b=4)", "student(df=3)", "uniform()"))
+        cfg = SimulationConfig((1000,), 2000, 1, estimators=(SM,), distributions=dists)
+        assert cfg.chunk_size == 16384
+        sensitivity(cfg, threads=1)
+        assert held and max(held) <= _kernel._BLOCK_VALUES + 1000
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_study_leaves_the_calling_threads_scratch_as_it_was(self, threads):
