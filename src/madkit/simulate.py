@@ -29,7 +29,9 @@ feeds them and aggregates each cell's parts into its report rows.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -87,10 +89,12 @@ _TAG_FACTORS = 1
 _TAG_EFFICIENCY = 2
 _TAG_SENSITIVITY = 3
 
-# The stream-key scheme of the module docstring, recorded in the provenance
-# line: a CSV made under other keys (scheme 1 keyed cells by their position
-# in the configured tuples) has other rows for the same configuration.
-_STREAMS = 2
+# The draw scheme, recorded in the provenance line: the stream keys of the
+# module docstring and the samplers that read them.  A CSV made under
+# another scheme has other rows for the same configuration (scheme 1 keyed
+# cells by their position in the configured tuples; scheme 2 drew Beta and
+# Student's t in two passes over each chunk).
+_STREAMS = 3
 
 
 def _spec_key(dist: DistributionSpec) -> int:
@@ -191,10 +195,16 @@ def _cells(row: NamedTuple) -> list[str]:
 
 
 def _csv(rows: Sequence[NamedTuple]) -> str:
-    """``rows``, at least one, as CSV headed by their field names."""
-    lines = [",".join(rows[0]._fields)]
-    lines += [",".join(_cells(row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    """``rows``, at least one, as CSV headed by their field names.
+
+    A field that holds a comma, such as the label ``uniform(a=0,b=1)``, is
+    quoted, so every row reads back with as many fields as the header.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(rows[0]._fields)
+    writer.writerows(_cells(row) for row in rows)
+    return buffer.getvalue()
 
 
 @dataclass(frozen=True)
@@ -279,13 +289,6 @@ def _normal_matrix(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return rng.standard_normal(out=out)
 
 
-def _normal_sampler(stream: RngStream, values: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The standard-normal ``fill(out)`` of ``DistributionSpec.sampler``: the
-    next ``out.size`` values of one draw from ``stream``."""
-    rng = stream.generator()
-    return lambda out: _normal_matrix(rng, out)
-
-
 def _weight_stack(n: int, estimators: Sequence[MedianEstimator]) -> np.ndarray:
     """The ``(k, n)`` median weights of ``estimators``, for one kernel call per block."""
     return np.stack([median_weights(n, est) for est in estimators])
@@ -295,22 +298,22 @@ def _run_cells(config: SimulationConfig, cells: Sequence, prepare: Callable,
                aggregate: Callable, threads: int) -> list:
     """The report rows ``aggregate(cell, parts)`` of each cell of a study, in order.
 
-    ``prepare(cell)`` gives the cell's ``(key, sampler, weights, reduce)``:
-    chunk i of ``count`` rows opens ``fill = sampler(stream, count * n)`` on
-    the stream keyed by ``(*key, i)``, and its part is ``reduce(mads)``,
-    ``mads`` being ``mad0_batch(samples, weights)`` of the chunk's ``(count,
-    n)`` samples for the ``(k, n)`` stack ``weights``.  ``parts`` are the
-    cell's parts in chunk order.
+    ``prepare(cell)`` gives the cell's ``(key, draw, weights, reduce)``:
+    chunk i of ``count`` rows opens one generator on the stream keyed by
+    ``(*key, i)``, and its part is ``reduce(mads)``, ``mads`` being
+    ``mad0_batch(samples, weights)`` of the chunk's ``(count, n)`` samples
+    for the ``(k, n)`` stack ``weights``.  ``parts`` are the cell's parts in
+    chunk order.
 
     The samples are never one array: the chunk is taken in blocks of the
     kernel's ``_BLOCK_VALUES // n`` rows (at least one), each filled by
-    ``fill`` in the worker's ``"samples"`` scratch and passed to one
-    ``mad0_batch`` call that writes its columns of ``mads`` in place, so a
-    chunk allocates one ``mads`` whatever its block count (a result per
-    block tripled ``factors``' minor page faults, as glibc handed the
-    freed arrays back to the OS).  ``fill`` gives each block the rows one
-    draw of the chunk would, so the parts do not depend on the block size.
-    The scratch ends with the worker.
+    ``draw(rng, block)`` in the worker's ``"samples"`` scratch and passed to
+    one ``mad0_batch`` call that writes its columns of ``mads`` in place,
+    so a chunk allocates one ``mads`` whatever its block count (a result
+    per block tripled ``factors``' minor page faults, as glibc handed the
+    freed arrays back to the OS).  Consecutive draws from one generator
+    give the rows one draw of the chunk would, so the parts do not depend
+    on the block size.  The scratch ends with the worker.
 
     Every chunk of every cell runs on one ``_map_ordered`` pool of
     ``threads`` workers, capped at the chunk count and fed lazily in report
@@ -326,18 +329,17 @@ def _run_cells(config: SimulationConfig, cells: Sequence, prepare: Callable,
     per_cell = (reps + size - 1) // size
 
     def chunk_part(item):
-        key, sampler, weights, reduce, index = item
+        key, draw, weights, reduce, index = item
         count, n = min(size, reps - index * size), weights.shape[-1]
         rows = min(count, max(1, _BLOCK_VALUES // n))
         block = thread_scratch("samples", rows * n)[:rows * n].reshape(rows, n)
         mads = np.empty((len(weights), count))
         with np.errstate(over="ignore", invalid="ignore"):
-            # Opening the sampler builds its generators, and NumPy warns of
-            # an invalid cast when it builds a Philox key from a seed at or
-            # above 2**63.
-            fill = sampler(RngStream(config.master_seed, derive_stream_id(*key, index)), count * n)
+            # NumPy warns of an invalid cast when it builds a Philox key
+            # from a seed at or above 2**63.
+            rng = RngStream(config.master_seed, derive_stream_id(*key, index)).generator()
             for start in range(0, count, rows):
-                samples = fill(block[:count - start])
+                samples = draw(rng, block[:count - start])
                 mad0_batch(samples, weights, out=mads[:, start:start + len(samples)])
             return reduce(mads)
 
@@ -366,7 +368,7 @@ def estimate_factors(config: SimulationConfig, threads: int = 1) -> FactorReport
     reps = config.repetitions
 
     def prepare(n):
-        return ((_TAG_FACTORS, n), _normal_sampler, _weight_stack(n, config.estimators),
+        return ((_TAG_FACTORS, n), _normal_matrix, _weight_stack(n, config.estimators),
                 lambda mads: [_moments(m) for m in mads])
 
     def aggregate(n, parts):
@@ -400,7 +402,7 @@ def efficiency(config: SimulationConfig, threads: int = 1) -> EfficiencyReport:
 
     def prepare(n):
         factors = [correction_factor(n, est) for est in config.estimators]
-        return ((_TAG_EFFICIENCY, n), _normal_sampler, _weight_stack(n, config.estimators),
+        return ((_TAG_EFFICIENCY, n), _normal_matrix, _weight_stack(n, config.estimators),
                 lambda mads: [_moments(m * f) for m, f in zip(mads, factors)])
 
     def aggregate(n, parts):
@@ -452,7 +454,8 @@ def sensitivity(config: SimulationConfig, threads: int = 1) -> SensitivityReport
                                   "in float64; rescale the distribution")
             return estimates
 
-        return ((_TAG_SENSITIVITY, _spec_key(dist), n), dist.sampler,
+        return ((_TAG_SENSITIVITY, _spec_key(dist), n),
+                lambda rng, out: dist.draw(rng, out.shape, out=out),
                 _weight_stack(n, config.estimators), reduce)
 
     def aggregate(cell, parts):

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: output formats, exit codes, reproducibility."""
 import argparse
+import csv
+import io
 import math
 import os
 import stat
@@ -16,7 +18,6 @@ from madkit.distributions import DEFAULT_SENSITIVITY_SET, parse_spec
 
 def run_cli(argv, capsys, stdin=None, monkeypatch=None):
     if stdin is not None:
-        import io
         import sys
 
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
@@ -289,7 +290,7 @@ class TestFactorsCommand:
         assert code == 0
         assert out.splitlines()[0] == (
             f"# seed=42 reps=100000 version={madkit.__version__} "
-            f"chunk_size=16384 streams=2 n=2 estimators=sm numpy={np.__version__}"
+            f"chunk_size=16384 streams=3 n=2 estimators=sm numpy={np.__version__}"
         )
         header, row = body_of(out).strip().splitlines()
         assert header == "n,estimator,m_n,c_n,std_error,repetitions"
@@ -397,7 +398,7 @@ class TestProvenance:
         assert code == 0
         assert out.splitlines()[0] == (
             f"# seed=9 reps=200 version={madkit.__version__} "
-            f"chunk_size=64 streams=2 n=3,5 estimators=sm,hd,thd-sqrt{dists} "
+            f"chunk_size=64 streams=3 n=3,5 estimators=sm,hd,thd-sqrt{dists} "
             f"numpy={np.__version__}"
         )
 
@@ -437,8 +438,32 @@ class TestSensitivityCommand:
         )
         assert code == 0
         body = body_of(out).strip().splitlines()
-        assert any(line.startswith("pareto(loc=1,shape=0.5),5,") for line in body[1:])
-        assert any(line.startswith("uniform(a=0,b=1),5,") for line in body[1:])
+        assert any(line.startswith('"pareto(loc=1,shape=0.5)",5,') for line in body[1:])
+        assert any(line.startswith('"uniform(a=0,b=1)",5,') for line in body[1:])
+
+    def test_every_default_row_reads_back_as_five_fields(self, capsys):
+        # A label with a comma is quoted, so csv.reader gives each row the
+        # header's five fields and the label as printed.
+        code, out, _ = run_cli(
+            ["sensitivity", "--n", "3", "--reps", "100", "--seed", "1", "--estimators", "sm"],
+            capsys,
+        )
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(body_of(out)))
+        assert header == ["distribution", "n", "estimator", "aggregator", "dispersion"]
+        assert len(rows) == 3 * len(DEFAULT_SENSITIVITY_SET)
+        assert all(len(row) == 5 for row in rows)
+        assert [parse_spec(row[0]) for row in rows[::3]] == list(DEFAULT_SENSITIVITY_SET)
+
+    def test_beta_with_tiny_shapes_runs(self, capsys):
+        # Its draws stay in [0, 1]: no NaN reaches the corrected MADs.
+        code, out, _ = run_cli(
+            ["sensitivity", "--n", "5", "--reps", "200", "--seed", "1",
+             "--dist", "beta(a=0.001,b=0.001)", "--estimators", "sm"],
+            capsys,
+        )
+        assert code == 0
+        assert len(body_of(out).strip().splitlines()) == 4
 
     def test_bad_dist_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -458,7 +483,7 @@ class TestSensitivityCommand:
         outputs = [run_cli(argv + ["--dist", spec], capsys)
                    for spec in ("normal(m=-0,sd=1)", "normal(m=0,sd=1)")]
         assert outputs[0] == outputs[1]
-        assert "normal(m=0,sd=1),5,sm,sd,0.5889473384\n" in outputs[0][1]
+        assert '"normal(m=0,sd=1)",5,sm,sd,0.5889473384\n' in outputs[0][1]
 
     # Valid specs whose draws, deviations or spread overflow float64: a
     # domain error naming the spec and n, with no NumPy warning (a warning

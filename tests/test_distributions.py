@@ -173,8 +173,10 @@ def _scipy_frozen(spec: DistributionSpec):
     raise AssertionError(family)
 
 
+# Beta(0.5, 0.3) takes NumPy's Johnk branch (a, b <= 1), not two Gammas.
 @pytest.mark.parametrize(
-    "index,spec", list(enumerate(DEFAULT_SENSITIVITY_SET)), ids=lambda v: str(v)
+    "index,spec", list(enumerate(DEFAULT_SENSITIVITY_SET + (parse_spec("beta(a=0.5,b=0.3)"),))),
+    ids=lambda v: str(v)
 )
 def test_kolmogorov_smirnov(index, spec):
     draws = spec.draw(RngStream(2024, derive_stream_id(index)).generator(), 10_000)
@@ -200,6 +202,14 @@ class TestMomentSpotChecks:
         s = parse_spec("constant(value=3.5)").draw(RngStream(1, 4).generator(), 100)
         assert np.all(s == 3.5)
 
+    @pytest.mark.filterwarnings("error")
+    def test_beta_with_tiny_shapes_stays_in_the_unit_interval(self):
+        # Both shapes near 0 put nearly all mass at 0 and 1; a ratio of two
+        # Gamma variates would underflow to 0/0 for about a fifth of them.
+        s = parse_spec("beta(a=0.001,b=0.001)").draw(RngStream(1, 5).generator(), 10**5)
+        assert np.isfinite(s).all()
+        assert s.min() >= 0.0 and s.max() <= 1.0
+
     def test_draws_stay_finite_at_scale(self):
         # Heavy tails must not degenerate to inf even on huge draws.
         for text in ("pareto(loc=1,shape=0.5)", "frechet(shape=1)", "cauchy()",
@@ -213,7 +223,8 @@ def _open_uniform_reference(rng, size):
 
 
 def _reference_draw(spec: DistributionSpec, rng, size):
-    """Each family's transform as one out-of-place expression."""
+    """Each family's transform as one out-of-place expression, or NumPy's
+    sampler drawn whole."""
     p = dict(spec.params)
     u = lambda: _open_uniform_reference(rng, size)  # noqa: E731
     family = spec.family
@@ -226,17 +237,13 @@ def _reference_draw(spec: DistributionSpec, rng, size):
         upper = b - np.sqrt((1.0 - x) * (b - a) * (b - c))
         return np.where(x < (c - a) / (b - a), lower, upper)
     if family == "beta":
-        g1 = rng.standard_gamma(p["a"], size=size)
-        g2 = rng.standard_gamma(p["b"], size=size)
-        return g1 / (g1 + g2)
+        return rng.beta(p["a"], p["b"], size=size)
     if family == "normal":
         return p["m"] + p["sd"] * rng.standard_normal(size=size)
     if family == "weibull":
         return p["scale"] * (-np.log1p(-u())) ** (1.0 / p["shape"])
     if family == "student":
-        z = rng.standard_normal(size=size)
-        chi2 = 2.0 * rng.standard_gamma(p["df"] / 2.0, size=size)
-        return z / np.sqrt(chi2 / p["df"])
+        return rng.standard_t(p["df"], size=size)
     if family == "gumbel":
         return p["loc"] - p["scale"] * np.log(-np.log(u()))
     if family == "exp":
@@ -324,19 +331,19 @@ class TestDrawInto:
     @pytest.mark.parametrize("spec", DRAW_SPECS, ids=str)
     @pytest.mark.parametrize("how", ["whole", "blocks"])
     def test_temporaries_are_pieces_not_a_chunk(self, spec, how):
-        # Beyond out, a (16384, 100) chunk, drawn whole or by its sampler
-        # in kernel blocks, allocates a few arrays of one piece each; a
-        # second array the size of the chunk would be 12.5 MiB.  A two-pass
-        # family's thrown-away first pass goes into the block.
+        # Beyond out, a (16384, 100) chunk, drawn whole or in kernel blocks
+        # from one generator, allocates a few arrays of one piece each; a
+        # second array the size of the chunk would be 12.5 MiB.
         shape = (16384, 100)
         out = np.empty(shape if how == "whole" else (_BLOCK_VALUES // 100, 100))
-        stream = RngStream(5)
+        rng = RngStream(5).generator()
         tracemalloc.start()
         try:
             if how == "whole":
-                spec.draw(stream.generator(), shape, out=out)
+                spec.draw(rng, shape, out=out)
             else:
-                for _ in _blocks(spec.sampler(stream, shape[0] * shape[1]), shape[0], out):
+                for _ in _blocks(lambda block: spec.draw(rng, block.shape, out=block),
+                                 shape[0], out):
                     pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -345,7 +352,7 @@ class TestDrawInto:
 
 
 def _blocks(fill, count, block):
-    """A chunk of ``count`` rows filled through ``fill`` in the rows of
+    """A chunk of ``count`` rows filled by ``fill(out)`` in the rows of
     ``block``, one block after another: yields each filled block."""
     rows = len(block)
     for start in range(0, count, rows):
@@ -359,28 +366,30 @@ BLOCKINGS = [((37, 5), 1), ((1000, 7), 13), ((50001, 7), _BLOCK_VALUES // 7),
              ((2, _BLOCK_VALUES + 3), 1)]
 
 
-class TestSampler:
-    """A sampler fills a chunk block by block with the values of one draw of it."""
+class TestBlockByBlock:
+    """Consecutive draws of one generator fill a chunk block by block with
+    the values of one draw of it."""
 
     def test_draw_specs_cover_every_family(self):
         assert {spec.family for spec in DRAW_SPECS} == set(_FAMILIES)
 
     @staticmethod
-    def check(sampler, whole, shape, rows):
+    def check(draw, whole, shape, rows):
         stream = RngStream(31, 7)
         block = np.full((rows, shape[1]), np.nan)  # stale contents must not leak through
-        fill = sampler(stream, shape[0] * shape[1])
-        got = np.concatenate([b.copy() for b in _blocks(fill, shape[0], block)])
+        rng = stream.generator()
+        blocks = _blocks(lambda out: draw(rng, out), shape[0], block)
+        got = np.concatenate([b.copy() for b in blocks])
         expected = whole(stream.generator(), shape)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("spec", DRAW_SPECS, ids=str)
     @pytest.mark.parametrize("shape,rows", BLOCKINGS)
     def test_blocks_get_the_values_of_one_draw(self, spec, shape, rows):
-        self.check(spec.sampler, spec.draw, shape, rows)
+        self.check(lambda rng, out: spec.draw(rng, out.shape, out=out), spec.draw, shape, rows)
 
     @pytest.mark.parametrize("shape,rows", BLOCKINGS)
-    def test_studies_normal_sampler(self, shape, rows):
-        from madkit.simulate import _normal_sampler
+    def test_studies_normal_matrix(self, shape, rows):
+        from madkit.simulate import _normal_matrix
 
-        self.check(_normal_sampler, lambda rng, size: rng.standard_normal(size), shape, rows)
+        self.check(_normal_matrix, lambda rng, size: rng.standard_normal(size), shape, rows)

@@ -435,16 +435,16 @@ class TestStreamContract:
         cfg = make_config(sample_sizes=(7, 3), repetitions=300, chunk_size=100,
                           distributions=(parse_spec("student(df=3)"),))
         (estimate_factors if study == "factors" else sensitivity)(cfg, threads=1)
-        # Each chunk is one block; student's second generator first draws
-        # the chunk's normals into it and throws them away.
-        assert len(seen) == (6 if study == "factors" else 12)
+        # Each of the 2 x 3 chunks is one block, drawn once.
+        assert len(seen) == 6
         assert all(buffer is seen[0][1] for _, buffer in seen)
         assert all(np.shares_memory(out, buffer) for out, buffer in seen)
 
     def test_a_worker_holds_one_kernel_block_of_samples(self, monkeypatch):
         # A chunk of 2000 rows at n = 1000 is drawn and run through the
         # kernel in blocks of 131 rows, so the sample scratch never holds
-        # the chunk's 2e6 values, two-pass samplers included.
+        # the chunk's 2e6 values, for the families drawn by NumPy's own
+        # samplers too.
         from madkit import _kernel
         from madkit.distributions import DistributionSpec
 
