@@ -256,7 +256,8 @@ def _cdf_window(n: int, p: float, width: Optional[float]):
     the window is about 9/sqrt(n) wide; Harrell & Davis 1982).  Above the
     window the computed CDF is already exactly 1.0.  For THD the call
     covers the HDI's ends and its grid cells; the clamped, renormalized
-    CDF is exactly 1.0 at its right edge.
+    CDF is exactly 1.0 at its right edge, and a step there when the HDI
+    holds no probability.
 
     The cache is bounded and holds only these windows, never dense
     n-vectors; it serves repeated builds of one (n, estimator), as warm
@@ -271,14 +272,14 @@ def _cdf_window(n: int, p: float, width: Optional[float]):
         first, window = lo + start, cdf[start:stop]
     else:
         left, right = hdi
-        first = math.floor(left * n) + 1
-        grid = np.arange(first, math.ceil(right * n) + 1) / n
-        cdf = reg_inc_beta(
-            np.concatenate(([left, right], np.minimum(np.maximum(grid, left), right))),
-            params,
-        )
+        first = min(math.floor(left * n) + 1, n)  # left may round to 1.0
+        grid = np.minimum(np.maximum(np.arange(first, math.ceil(right * n) + 1) / n, left), right)
+        cdf = reg_inc_beta(np.concatenate(([left, right], grid)), params)
         cdf_left = cdf[0]
-        window = (cdf[2:] - cdf_left) / (cdf[1] - cdf_left)
+        if cdf[1] > cdf_left:
+            window = (cdf[2:] - cdf_left) / (cdf[1] - cdf_left)
+        else:  # no float64 probability in the HDI: the zero-width limit
+            window = (grid >= right).astype(np.float64)
     window.flags.writeable = False
     return first, window
 
@@ -372,7 +373,10 @@ def thd_weights(n: int, p: float, width: float) -> np.ndarray:
     width*n points, in one array call.  That window shares HD's small
     bounded cache, keyed by (n, p, width); the returned dense array is
     fresh and read-only.  Degenerate HDI falls back to the untrimmed
-    weights.
+    weights.  An HDI that holds no float64 probability, as at width 1e-300,
+    gives the zero-width limit: the CDF steps from 0 to 1 at the HDI, so
+    all the mass falls on one order statistic, and at p = 0.5 the weights
+    are the sample median's.
     """
     return _weights(n, p, width)
 

@@ -11,8 +11,7 @@ in chunk order.  A chunk is drawn and run through the kernel one block of
 rows at a time, and its rows get the values one draw of the whole chunk
 gives.  A cell's key starts with its study's tag:
 
-* factors: ``(1, n)``
-* efficiency: ``(2, n)``
+* factors, whose cells ``efficiency`` reads too: ``(1, n)``
 * sensitivity: ``(3, spec key, n)``, where the spec key is
   ``_spec_key(distribution)``, a hash of the family and its parameters
 
@@ -83,18 +82,18 @@ _FLOAT_FMT = "%.10g"
 # The sizes n_low < n <= n_high the prediction equation is fitted on by default.
 _FIT_RANGE = (100, 500)
 
-# Study tags folded into stream derivation so different studies never share
-# sample streams under one master seed.
+# Study tags folded into stream derivation so the normal and sensitivity
+# studies never share sample streams under one master seed.
 _TAG_FACTORS = 1
-_TAG_EFFICIENCY = 2
 _TAG_SENSITIVITY = 3
 
 # The draw scheme, recorded in the provenance line: the stream keys of the
 # module docstring and the samplers that read them.  A CSV made under
 # another scheme has other rows for the same configuration (scheme 1 keyed
 # cells by their position in the configured tuples; scheme 2 drew Beta and
-# Student's t in two passes over each chunk).
-_STREAMS = 3
+# Student's t in two passes over each chunk; scheme 3 drew ``efficiency``
+# from its own tag-2 streams).
+_STREAMS = 4
 
 
 def _spec_key(dist: DistributionSpec) -> int:
@@ -357,30 +356,35 @@ def _run_cells(config: SimulationConfig, cells: Sequence, prepare: Callable,
         parts.close()  # on an error, cancels the chunks not yet started
 
 
-def estimate_factors(config: SimulationConfig, threads: int = 1) -> FactorReport:
-    """Estimate C_n = 1 / mean(raw MAD) over standard-normal samples.
+def _normal_study(config: SimulationConfig, threads: int) -> list[list[tuple[float, float]]]:
+    """Per sample size, the ``(mean, variance)`` of each estimator's raw MAD.
 
-    Every estimator runs on the same samples.  The mean is accumulated per
-    chunk and combined with exact summation; the reported std_error is the
-    delta-method propagation of the standard error of the mean through the
-    inversion.
+    Over the factor cells' standard-normal samples, which every estimator
+    shares; per-chunk moments are combined with exact summation.
     """
-    reps = config.repetitions
-
     def prepare(n):
         return ((_TAG_FACTORS, n), _normal_matrix, _weight_stack(n, config.estimators),
                 lambda mads: [_moments(m) for m in mads])
 
     def aggregate(n, parts):
-        rows = []
-        for est, moments in zip(config.estimators, zip(*parts)):
-            m_n, variance = _mean_variance(moments, reps)
-            se_m = math.sqrt(variance / reps)
-            rows.append(FactorRow(n, est.label, m_n, 1.0 / m_n, se_m / (m_n * m_n), reps))
-        return rows
+        return [[_mean_variance(moments, config.repetitions) for moments in zip(*parts)]]
 
-    rows = _run_cells(config, config.sample_sizes, prepare, aggregate, threads)
-    report = FactorReport(tuple(rows))
+    return _run_cells(config, config.sample_sizes, prepare, aggregate, threads)
+
+
+def estimate_factors(config: SimulationConfig, threads: int = 1) -> FactorReport:
+    """Estimate C_n = 1 / mean(raw MAD) over standard-normal samples.
+
+    Every estimator runs on the same samples.  The reported std_error is
+    the delta-method propagation of the standard error of the mean through
+    the inversion.
+    """
+    reps = config.repetitions
+    report = FactorReport(tuple(
+        FactorRow(n, est.label, m_n, 1.0 / m_n, math.sqrt(variance / reps) / (m_n * m_n), reps)
+        for n, cell in zip(config.sample_sizes, _normal_study(config, threads))
+        for est, (m_n, variance) in zip(config.estimators, cell)
+    ))
     for row in report.rows:
         if not (math.isfinite(row.c_n) and row.c_n > 0.0):
             raise InternalCheckError(f"non-finite factor estimate in row {row}")
@@ -392,26 +396,20 @@ def estimate_factors(config: SimulationConfig, threads: int = 1) -> FactorReport
 def efficiency(config: SimulationConfig, threads: int = 1) -> EfficiencyReport:
     """Relative efficiency of the HD- and THD-based MAD against the SM MAD.
 
-    All three estimators are evaluated on the same samples (common random
-    numbers), each corrected by the default factor model; efficiency is the
-    ratio of estimate variances with SM in the numerator.  The config must
-    keep the default estimators ``(SM, HD, THD_SQRT)``.
+    An estimator's variance is C_n**2 * var(MAD): its MAD corrected by the
+    default factor model, over the factor study's samples, which all three
+    share (common random numbers).  At one seed this report and
+    ``estimate_factors`` describe the same draws.  Efficiency is the ratio
+    of variances with SM in the numerator.  The config must keep the
+    default estimators ``(SM, HD, THD_SQRT)``.
     """
     if config.estimators != (SM, HD, THD_SQRT):
         raise ConfigError("efficiency compares sm, hd and thd-sqrt and takes no estimator list")
-
-    def prepare(n):
-        factors = [correction_factor(n, est) for est in config.estimators]
-        return ((_TAG_EFFICIENCY, n), _normal_matrix, _weight_stack(n, config.estimators),
-                lambda mads: [_moments(m * f) for m, f in zip(mads, factors)])
-
-    def aggregate(n, parts):
-        var_sm, var_hd, var_thd = (
-            _mean_variance(moments, config.repetitions)[1] for moments in zip(*parts)
-        )
-        return [EfficiencyRow(n, var_sm, var_hd, var_thd, var_sm / var_hd, var_sm / var_thd)]
-
-    rows = _run_cells(config, config.sample_sizes, prepare, aggregate, threads)
+    rows = []
+    for n, cell in zip(config.sample_sizes, _normal_study(config, threads)):
+        var_sm, var_hd, var_thd = (correction_factor(n, est) ** 2 * variance
+                                   for est, (_, variance) in zip(config.estimators, cell))
+        rows.append(EfficiencyRow(n, var_sm, var_hd, var_thd, var_sm / var_hd, var_sm / var_thd))
     report = EfficiencyReport(tuple(rows))
     for row in report.rows:
         if not all(math.isfinite(v) and v > 0.0 for v in row[1:]):

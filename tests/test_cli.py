@@ -62,6 +62,17 @@ class TestMadCommand:
         _, out, _ = run_cli(["mad", "--csv"], capsys, "1 2 3 4 5", monkeypatch)
         assert out.splitlines()[1].split(",")[1] == "thd-sqrt"
 
+    def test_thd_zero_width_limit_is_the_sample_median(self, capsys, tmp_path):
+        path = tmp_path / "numbers.txt"
+        path.write_text("3.1\n2.9\n3.4\n7.0\n3.0\n")
+        mad0 = []
+        for estimator in ("thd(1e-300)", "sm"):
+            code, out, err = run_cli(["mad", str(path), "--estimator", estimator,
+                                      "--model", "asymptotic"], capsys)
+            assert (code, err) == (0, "")
+            mad0 += [line for line in out.splitlines() if line.startswith("mad0 ")]
+        assert mad0 == ["mad0       0.2"] * 2
+
     def test_file_input_with_commas(self, capsys, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("1, 2\n4,8\n")
@@ -290,7 +301,7 @@ class TestFactorsCommand:
         assert code == 0
         assert out.splitlines()[0] == (
             f"# seed=42 reps=100000 version={madkit.__version__} "
-            f"chunk_size=16384 streams=3 n=2 estimators=sm numpy={np.__version__}"
+            f"chunk_size=16384 streams=4 n=2 estimators=sm numpy={np.__version__}"
         )
         header, row = body_of(out).strip().splitlines()
         assert header == "n,estimator,m_n,c_n,std_error,repetitions"
@@ -313,6 +324,14 @@ class TestFactorsCommand:
         rows = [line for line in body_of(full).splitlines() if f",{estimator}," in line]
         assert len(rows) == 2
         assert body_of(alone).splitlines()[1:] == rows
+
+    def test_thd_zero_width_runs(self, capsys):
+        code, out, err = run_cli(["factors", "--n", "5", "--reps", "200",
+                                  "--estimators", "sm,thd(1e-300)"], capsys)
+        assert (code, err) == (0, "")
+        # At n = 5 its weights are sm's, so its MADs are too.
+        sm, tiny = (line.split(",") for line in body_of(out).splitlines()[1:])
+        assert tiny[1] == "thd(1e-300)" and tiny[2:] == sm[2:]
 
     def test_long_thd_widths_keep_distinct_labels(self, capsys):
         code, out, _ = run_cli(["factors", "--n", "5", "--reps", "2000",
@@ -398,7 +417,7 @@ class TestProvenance:
         assert code == 0
         assert out.splitlines()[0] == (
             f"# seed=9 reps=200 version={madkit.__version__} "
-            f"chunk_size=64 streams=3 n=3,5 estimators=sm,hd,thd-sqrt{dists} "
+            f"chunk_size=64 streams=4 n=3,5 estimators=sm,hd,thd-sqrt{dists} "
             f"numpy={np.__version__}"
         )
 

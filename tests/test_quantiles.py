@@ -257,6 +257,37 @@ class TestThdWeights:
         assert w.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+ZERO_WIDTH_NS = (2, 3, 4, 5, 8, 13, 30, 100, 101, 1000, 10_001)
+ZERO_WIDTH_PS = (0.1, 0.25, 0.5, 0.75, 0.9)
+ZERO_WIDTH_WIDTHS = (1.0, 0.5, 0.1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-15,
+                     1e-17, 1e-100, 1e-300)
+
+
+class TestThdZeroWidthLimit:
+    """A width whose HDI holds no float64 probability: the CDF steps at the HDI."""
+
+    def test_median_weights_are_finite(self):
+        assert thd_weights(5, 0.5, 1e-300).tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+        assert median([1, 2, 3, 4, 5], thd(1e-300)) == 3.0
+
+    def test_hdi_at_one_takes_the_maximum(self):
+        # The HDI's left end rounds to 1.0, past the last grid cell.
+        assert thd_quantile([1.0, 2.0, 3.0], 0.9, 3e-17) == 3.0
+        assert thd_quantile([1.0, 2.0, 3.0], 0.9, 1e-3) == 3.0
+
+    def test_p_half_limit_is_the_sample_median(self):
+        for n in (*range(1, 200), 1001, 10_000, 100_001):
+            assert np.array_equal(thd_weights(n, 0.5, 1e-300), median_weights(n, SM)), n
+
+    @pytest.mark.parametrize("n", ZERO_WIDTH_NS)
+    def test_every_width_gives_a_weight_vector(self, n):
+        for p in ZERO_WIDTH_PS:
+            for width in ZERO_WIDTH_WIDTHS:
+                w = thd_weights(n, p, width)
+                assert np.isfinite(w).all() and (w >= 0.0).all(), (n, p, width)
+                assert w.sum() == pytest.approx(1.0, abs=1e-12), (n, p, width)
+
+
 class TestThdQuantile:
     def test_four_points_half_width(self):
         assert thd_quantile([1, 2, 3, 4], 0.5, 0.5) == 2.5

@@ -245,6 +245,18 @@ class TestEfficiency:
         cfg = make_config(sample_sizes=(3,), repetitions=3000, chunk_size=512)
         assert efficiency(cfg, threads=1).rows == efficiency(cfg, threads=3).rows
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_reads_the_factor_study(self, threads):
+        # var = C_n**2 * var(MAD) on the samples behind the factor rows,
+        # across the table -> equation switch at n = 100/101.
+        cfg = SimulationConfig((2, 3, 4, 100, 101), 3000, 7, chunk_size=1000)
+        factors = {(row.n, row.estimator): row for row in estimate_factors(cfg, threads).rows}
+        for row in efficiency(cfg, threads).rows:
+            for est, var in zip((SM, HD, THD_SQRT), row[1:4]):
+                f = factors[row.n, est.label]
+                assert var / correction_factor(row.n, est) ** 2 == pytest.approx(
+                    f.repetitions * (f.std_error * f.m_n ** 2) ** 2, rel=1e-12), (row.n, est)
+
 
 class TestSensitivity:
     def test_requires_distributions(self):
