@@ -65,7 +65,9 @@ median does not reach ``|x - med|``).
 Blocks.  ``mad0_batch`` walks the rows in blocks of about
 ``_BLOCK_VALUES`` values, so a block's wires and deviations stay in
 cache.  ``weights`` may stack ``k`` estimators' vectors as a ``(k, n)``
-array: the first sort of each block is then shared by all of them.
+array: the first sort of each block is then shared by all of them, and
+a vector the stack repeats is run once and its MADs copied (at n = 2 the
+three default vectors are equal, at n = 4 sm's and thd-sqrt's).
 
 Scratch.  In a call of more than one row, a block's two buffers (wire
 buffers, or sorted rows and their deviations) are views of one float64
@@ -300,6 +302,15 @@ def mad0_batch(samples: np.ndarray, weights: np.ndarray,
         raise ValueError(f"out must be a float64 array of shape {result}, "
                          f"got {out.dtype} {out.shape}")
     mads = out.reshape(len(stack), rows)
+    # Equal weight vectors give equal MADs, so each distinct vector runs
+    # once, into the leading rows of ``mads``, which then fill the rows
+    # that repeat them.  Vectors are compared by their bytes, so -0.0
+    # stays apart from 0.0; a lone vector is not hashed (0.3 ms at n = 1e5).
+    source = [0]
+    if len(stack) > 1:
+        index = {}
+        source = [index.setdefault(wk.tobytes(), len(index)) for wk in stack]
+        stack = stack[[source.index(j) for j in range(len(index))]]
     step = max(1, min(rows, _BLOCK_VALUES // max(n, 1)))
     wired = rows > 1 and 2 <= n <= _NARROW_MAX_WIDTH
     shape = (n + 1, step) if wired else (step, n)
@@ -318,9 +329,11 @@ def mad0_batch(samples: np.ndarray, weights: np.ndarray,
     for start in range(0, rows, step):
         block = x[start:start + step]
         count = len(block)
-        part = mads[:, start:start + count]
+        part = mads[:len(stack), start:start + count]
         if wired:
             _mad_wires(block, stack, part, first[:, :count], second[:, :count])
         else:
             _mad_np_sort(block, stack, part, first[:count], second[:count])
+    if len(stack) < len(source):
+        mads[:] = mads[source]
     return out

@@ -11,6 +11,7 @@ import pytest
 
 import madkit
 from madkit.cli import _build_parser, main
+from madkit.errors import MadkitError
 from madkit.factor_tables import TABLES
 from madkit.mad import factor_table
 from madkit.distributions import DEFAULT_SENSITIVITY_SET, parse_spec
@@ -24,6 +25,10 @@ def run_cli(argv, capsys, stdin=None, monkeypatch=None):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
 def body_of(csv_text: str) -> str:
@@ -243,9 +248,45 @@ BAD_INPUTS = {
     "-inf": "1\n-inf 4\n",
 }
 
+_COLUMNS = "\n".join(" ".join(repr(0.1 * (3 * i + j) + 1.3) for j in range(3))
+                      for i in range(4)) + "\n"
+# Edge inputs of the two readers, as bytes: each parses the same through a
+# regular file and through stdin.
+READER_CORPUS = {
+    "bom": b"\xef\xbb\xbf1\n2\n3\n",
+    "cr": b"1\r2\r3\r",
+    "crlf": b"1\r\n2\r\n3\r\n",
+    "form feed": b"1\f2\f3\n",
+    "file separator": b"1\x1c2 3\n4 5 6\n",
+    "no-break space": "1\u00a02 3\n4 5 6\n".encode(),
+    "arabic-indic digits": "\u0661\u0662 3\n4 5\n".encode(),
+    "underscore": b"1_000\n2\n3\n",
+    "blank": b"",
+    "blank lines": b"\n\n\n",
+    "whitespace only": b" \t \n \n",
+    "negative zero": b"-0.0\n0.0\n1\n",
+    "underflow": b"1e-400\n2\n3\n",
+    "subnormal": b"4.9e-324\n1\n2\n",
+    "one per line": "\n".join(repr(0.1 * i + 1.3) for i in range(12)).encode(),
+    "uniform columns": _COLUMNS.encode(),
+    "uniform columns, blank lines": _COLUMNS.replace("\n", "\n \n").encode(),
+    "ragged early": ("1 2 3\n4\n" + _COLUMNS).encode(),
+    "ragged mid-file": b"1 2\n3 4 5\n6 7\n",
+    "ragged late": (_COLUMNS + "5 6\n").encode(),
+    "comma list": ",".join(repr(0.1 * i + 1.3) for i in range(12)).encode() + b"\n",
+    "one long line": " ".join(repr(0.1 * i + 1.3) for i in range(600)).encode() + b"\n",
+    "hex float": b"0x1p3\n2\n",
+    "overflow": b"1\n1e5000\n",
+    "nan": b"1\nnan\n3\n",
+    "-inf": b"1 2\n3 -inf\n",
+    "bad token": b"1 2\n3 bogus\n",
+    "invalid utf-8": b"1\n2\n\xff3\n",
+    "nul": b"1\x002\n3\n",
+}
+
 
 class TestReadNumbers:
-    """The one-pass parse against the line-by-line loop it falls back to."""
+    """Both readers against the line-by-line loop they fall back to."""
 
     @pytest.mark.parametrize("name", sorted(GOOD_INPUTS))
     def test_fast_path_same_doubles(self, name, tmp_path, monkeypatch):
@@ -283,6 +324,86 @@ class TestReadNumbers:
             code, out, err = run_cli(["mad", "-"], capsys, text, monkeypatch)
         assert code == 2 and out == ""
         assert err == f"madkit: {reference.value}\n"
+
+    @pytest.mark.parametrize("name", sorted(READER_CORPUS))
+    def test_file_and_stdin_agree(self, name, capsys, monkeypatch, tmp_path):
+        # A regular file may take NumPy's C reader, stdin never does: both
+        # must give the token path's values, or its exit 2 and message.
+        import sys
+
+        from madkit import cli
+
+        data = READER_CORPUS[name]
+        path = tmp_path / "data.txt"
+        path.write_bytes(data)
+        results = []
+        for source in (str(path), "-"):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            try:
+                values = [v.hex() for v in cli._read_numbers(source).tolist()]
+            except MadkitError as exc:
+                values = str(exc).replace(str(path), "<stdin>")
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            code, out, err = run_cli(["mad", source, "--csv"], capsys)
+            results.append((values, code, out, err.replace(str(path), "<stdin>")))
+        assert results[0] == results[1]
+        values, code, out, err = results[0]
+        if isinstance(values, list):
+            text = data.decode("utf-8").removeprefix("\ufeff")
+            assert values == [v.hex() for v in cli._parse_lines(text)]
+        else:
+            assert (code, out, err) == (2, "", f"madkit: {values}\n")
+
+    @pytest.mark.parametrize("name, called, used", [
+        ("one per line", True, True), ("uniform columns", True, True),
+        ("one long line", True, True), ("bom", True, True),
+        ("ragged mid-file", True, False), ("comma list", False, False),
+        ("ragged late", False, False),
+    ])
+    def test_which_files_take_the_c_reader(self, name, called, used, tmp_path, monkeypatch):
+        # A comma or a first and last line of different lengths skip the C
+        # reader; a row that changes length mid-file makes it fail.
+        from madkit import cli
+
+        path = tmp_path / "data.txt"
+        path.write_bytes(READER_CORPUS[name])
+        calls, results = [], []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            results.append(loadtxt(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        got = cli._read_numbers(str(path))
+        assert calls == ([str(path)] if called else [])
+        assert (bool(results) and np.shares_memory(got, results[0])) == used
+        text = READER_CORPUS[name].decode("utf-8").removeprefix("\ufeff")
+        assert np.array_equal(_bits(got), _bits(cli._parse_lines(text)))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_fifo_is_read_once(self, tmp_path):
+        # A pipe is read once: the C reader would re-open it once drained
+        # and wait for a writer that never comes.
+        import threading
+
+        from madkit import cli
+
+        data = READER_CORPUS["ragged mid-file"]
+        path = tmp_path / "numbers.fifo"
+        os.mkfifo(path)
+        result = []
+        writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+        reader = threading.Thread(target=lambda: result.append(cli._read_numbers(str(path))),
+                                  daemon=True)
+        writer.start()
+        reader.start()
+        reader.join(timeout=30)
+        writer.join(timeout=1)
+        assert not reader.is_alive() and not writer.is_alive()
+        want = cli._parse_lines(data.decode("utf-8"))
+        assert np.array_equal(_bits(result[0]), _bits(want))
 
     def test_error_text_pinned(self, capsys, monkeypatch):
         _, _, err = run_cli(["mad", "-"], capsys, BAD_INPUTS["unparsable"], monkeypatch)

@@ -332,6 +332,47 @@ def test_stacked_weights_match_single_calls(n):
     assert mad0_batch(samples, stack[:1]).shape == (1, len(samples))
 
 
+def test_default_vectors_repeat_at_n_2_and_4():
+    # The repeats the kernel runs once in calibrate's and efficiency's cells.
+    def distinct(n):
+        return len({median_weights(n, kind).tobytes() for kind in ALL_KINDS})
+
+    assert (distinct(2), distinct(4)) == (1, 2)
+    assert all(distinct(n) == 3 for n in (3, *range(5, 21)))
+
+
+@pytest.mark.parametrize("n", (4, 7, LIMIT, LIMIT + 1, 30))
+def test_repeated_vectors_run_once_with_their_own_bits(n, monkeypatch):
+    # Rows of 4 to 12 values take the wire path, wider ones np.sort; NaN
+    # rows take np.sort from either.  A -0.0 weight where sm has 0.0 is a
+    # vector of its own.
+    sm, hd = median_weights(n, SM), median_weights(n, HD)
+    signed = sm.copy()
+    signed[sm == 0.0] = -0.0
+    stack = np.stack([hd, sm, hd, signed, sm])
+    rng = np.random.default_rng(28)
+    samples = rng.standard_normal((2 * _block_rows(n) + 5, n))
+    samples[::97, 1] = np.nan
+    runs = []
+
+    def spy(fn):
+        def run(block, stack, *rest):
+            runs.append(stack.copy())
+            return fn(block, stack, *rest)
+        return run
+
+    monkeypatch.setattr(_kernel, "_mad_wires", spy(_kernel._mad_wires))
+    monkeypatch.setattr(_kernel, "_mad_np_sort", spy(_kernel._mad_np_sort))
+    got = mad0_batch(samples, stack)
+    assert runs and all(np.array_equal(_bits(run), _bits(stack[[0, 1, 3]])) for run in runs)
+    for k, wk in enumerate(stack):
+        assert np.array_equal(_bits(got[k]), _bits(mad0_batch(samples, wk))), k
+    assert np.isnan(got[:, ::97]).all()
+    one = samples[:1]
+    assert np.array_equal(_bits(mad0_batch(one, stack)[:, 0]),
+                          _bits([mad0_batch(one, wk)[0] for wk in stack]))
+
+
 @pytest.mark.parametrize("n", (1, 5, LIMIT + 1, 100))
 def test_out_gets_the_values_of_a_fresh_call(n):
     # As a study passes it: the columns of a larger result, stale contents
