@@ -79,9 +79,9 @@ or the caller's ``out``, never scratch.
 Only the kernel and ``simulate._run_cells`` use it.  ``_run_cells``
 keeps one kernel block of samples there, ``_BLOCK_VALUES // n`` rows (at
 least one), which it fills from the chunk's generator before each
-kernel call, so a study worker holds three blocks of scratch whatever the
-chunk size.  A study's chunks run on its pool's workers, so its scratch
-ends with them and the calling thread holds none.
+kernel call, so a study worker holds three blocks of scratch, never a
+chunk of samples.  A study's chunks run on its pool's workers, so its
+scratch ends with them and the calling thread holds none.
 """
 from __future__ import annotations
 

@@ -228,15 +228,18 @@ def _write_file(path, text: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         return
-    path = os.path.realpath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".madkit-", suffix=".tmp")
+    target = os.path.realpath(path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".madkit-", suffix=".tmp")
+    except OSError as exc:  # its filename is a temp name the user never gave
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # the mode open() would have given, not 0600
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
@@ -259,7 +262,7 @@ def _provenance(config: SimulationConfig) -> str:
         dists = f" dists={','.join(map(str, config.distributions))}"
     return (
         f"# seed={config.master_seed} reps={config.repetitions} "
-        f"version={madkit.__version__} chunk_size={config.chunk_size} streams={_STREAMS} "
+        f"version={madkit.__version__} streams={_STREAMS} "
         f"n={','.join(map(str, config.sample_sizes))} "
         f"estimators={','.join(est.label for est in config.estimators)}"
         f"{dists} numpy={np.__version__}\n"
@@ -277,8 +280,6 @@ def _add_sim_flags(parser, default_reps: int, estimators: str = "") -> None:
     if estimators:
         parser.add_argument("--estimators", type=_estimator_list, default=None, metavar="LIST",
                             help=estimators)
-    parser.add_argument("--chunk-size", type=int, default=SimulationConfig.chunk_size,
-                        help="repetitions per work chunk (default %(default)s)")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads, a positive integer; results do not "
                              "depend on this (default 1)")
@@ -365,7 +366,6 @@ def _config_from(args) -> SimulationConfig:
         sample_sizes=tuple(args.n),
         repetitions=args.reps,
         master_seed=args.seed,
-        chunk_size=args.chunk_size,
         distributions=tuple(getattr(args, "dist", ())),
     )
     if getattr(args, "estimators", None) is not None:

@@ -3,7 +3,7 @@ and the least-squares fit of the large-n prediction equation.
 
 Every study is deterministic given its configuration.  A cell is one
 sample size, or for sensitivity one (distribution, sample size).  Its
-repetitions are split into chunks of ``chunk_size``; chunk i draws the
+repetitions are split into chunks of ``_CHUNK_ROWS``; chunk i draws the
 cell's samples once, from the Philox stream ``RngStream(master_seed,
 derive_stream_id(*key, i))``, runs every estimator on them through one
 ``(k, n)`` stack of median weights, and the partial results are reduced
@@ -95,6 +95,10 @@ _TAG_SENSITIVITY = 3
 # from its own tag-2 streams).
 _STREAMS = 4
 
+# Repetitions per chunk, the unit of work and of the stream keys: no option
+# moves it, and a cell of at most this many is one chunk, on one worker.
+_CHUNK_ROWS = 16384
+
 
 def _spec_key(dist: DistributionSpec) -> int:
     """The 64-bit stream key of a distribution, from its content alone.
@@ -112,13 +116,11 @@ class SimulationConfig:
     """Shared Monte-Carlo configuration.
 
     The integer fields refuse a float such as 5.0 rather than truncate it.
-    ``chunk_size`` is the repetition count per work unit and is part of the
-    reproducibility contract: the same config gives bit-identical reports,
-    any thread count.  No sample size, estimator or distribution may
-    repeat: its cells would draw the same samples and compute the same
-    rows twice.  ``master_seed`` lies in [0, 2**64), the range of a Philox
-    key word: a seed outside it would alias one inside.  The three tuple
-    fields take any iterable.
+    The same config gives bit-identical reports, any thread count.  No
+    sample size, estimator or distribution may repeat: its cells would draw
+    the same samples and compute the same rows twice.  ``master_seed`` lies
+    in [0, 2**64), the range of a Philox key word: a seed outside it would
+    alias one inside.  The three tuple fields take any iterable.
     """
 
     sample_sizes: tuple[int, ...]
@@ -126,10 +128,9 @@ class SimulationConfig:
     master_seed: int
     estimators: tuple[MedianEstimator, ...] = (SM, HD, THD_SQRT)
     distributions: tuple[DistributionSpec, ...] = ()
-    chunk_size: int = 16384
 
     def __post_init__(self):
-        for name in ("repetitions", "master_seed", "chunk_size"):
+        for name in ("repetitions", "master_seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name), ConfigError))
         for name in ("sample_sizes", "estimators", "distributions"):
             items = getattr(self, name)
@@ -158,8 +159,6 @@ class SimulationConfig:
             repeats = [item for i, item in enumerate(items) if item in items[:i]]
             if repeats:
                 raise ConfigError(f"{kind} {repeats[0]} is listed more than once")
-        if self.chunk_size < 1:
-            raise ConfigError("chunk_size must be positive")
 
 
 class FactorRow(NamedTuple):
@@ -298,11 +297,11 @@ def _run_cells(config: SimulationConfig, cells: Sequence, prepare: Callable,
     """The report rows ``aggregate(cell, parts)`` of each cell of a study, in order.
 
     ``prepare(cell)`` gives the cell's ``(key, draw, weights, reduce)``:
-    chunk i of ``count`` rows opens one generator on the stream keyed by
-    ``(*key, i)``, and its part is ``reduce(mads)``, ``mads`` being
-    ``mad0_batch(samples, weights)`` of the chunk's ``(count, n)`` samples
-    for the ``(k, n)`` stack ``weights``.  ``parts`` are the cell's parts in
-    chunk order.
+    chunk i of ``count`` rows (``_CHUNK_ROWS``, fewer in the last) opens
+    one generator on the stream keyed by ``(*key, i)``, and its part is
+    ``reduce(mads)``, ``mads`` being ``mad0_batch(samples, weights)`` of
+    the chunk's ``(count, n)`` samples for the ``(k, n)`` stack
+    ``weights``.  ``parts`` are the cell's parts in chunk order.
 
     The samples are never one array: the chunk is taken in blocks of the
     kernel's ``_BLOCK_VALUES // n`` rows (at least one), each filled by
@@ -324,7 +323,7 @@ def _run_cells(config: SimulationConfig, cells: Sequence, prepare: Callable,
     """
     if _integer("threads", threads, ConfigError) < 1:
         raise ConfigError(f"threads must be a positive integer, got {threads}")
-    reps, size = config.repetitions, config.chunk_size
+    reps, size = config.repetitions, _CHUNK_ROWS
     per_cell = (reps + size - 1) // size
 
     def chunk_part(item):

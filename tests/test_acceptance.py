@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from madkit import factor_tables as tables
+from madkit import simulate
 from madkit._kernel import mad0_batch
 from madkit.cli import main as cli_main
 from madkit.distributions import parse_spec
@@ -270,24 +271,27 @@ def _csv_body(path) -> str:
     )
 
 
-def test_criterion_10_determinism_across_threads(tmp_path):
+def test_criterion_10_determinism_across_threads(tmp_path, monkeypatch):
+    # A small stream unit, so every cell spans several chunks.
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", 1024)
     runs = {}
     for threads in (1, 4):
         out = tmp_path / f"factors_t{threads}.csv"
         code = cli_main([
             "factors", "--n", "2,3,5", "--reps", "20000", "--seed", "9",
-            "--chunk-size", "1024", "--threads", str(threads), "--out", str(out),
+            "--threads", str(threads), "--out", str(out),
         ])
         assert code == 0
         runs[threads] = _csv_body(out)
     assert runs[1] == runs[4]
 
+    monkeypatch.setattr(simulate, "_CHUNK_ROWS", 128)
     sens = {}
     for threads in (1, 4):
         out = tmp_path / f"sens_t{threads}.csv"
         code = cli_main([
             "sensitivity", "--n", "5", "--reps", "1000", "--seed", "9",
-            "--chunk-size", "128", "--threads", str(threads),
+            "--threads", str(threads),
             "--dist", "lognormal(mlog=0,sdlog=2),cauchy(x0=0,gamma=1)",
             "--out", str(out),
         ])

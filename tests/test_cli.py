@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import madkit
+from madkit import simulate
 from madkit.cli import _build_parser, main
 from madkit.errors import MadkitError
 from madkit.factor_tables import TABLES
@@ -422,19 +423,32 @@ class TestFactorsCommand:
         assert code == 0
         assert out.splitlines()[0] == (
             f"# seed=42 reps=100000 version={madkit.__version__} "
-            f"chunk_size=16384 streams=4 n=2 estimators=sm numpy={np.__version__}"
+            f"streams=4 n=2 estimators=sm numpy={np.__version__}"
         )
         header, row = body_of(out).strip().splitlines()
         assert header == "n,estimator,m_n,c_n,std_error,repetitions"
         c_n = float(row.split(",")[3])
         assert c_n == pytest.approx(1.7725, abs=0.02)
 
-    def test_byte_identical_across_threads(self, capsys):
-        args = ["factors", "--n", "3,5", "--reps", "5000", "--seed", "7",
-                "--chunk-size", "512"]
+    def test_byte_identical_across_threads(self, capsys, monkeypatch):
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 512)
+        args = ["factors", "--n", "3,5", "--reps", "5000", "--seed", "7"]
         _, out1, _ = run_cli(args + ["--threads", "1"], capsys)
         _, out2, _ = run_cli(args + ["--threads", "4"], capsys)
         assert body_of(out1) == body_of(out2)
+
+    @pytest.mark.parametrize("args", [
+        ["factors", "--n", "3,13"],
+        ["sensitivity", "--n", "5", "--dist", "normal,student(df=3)"],
+    ])
+    def test_shipped_unit_byte_identical_across_threads(self, args, capsys):
+        # 40000 reps are three chunks of the unit that ships, with no patch:
+        # two of 16384 rows and one of 7232.
+        assert simulate._CHUNK_ROWS == 16384
+        args = args + ["--reps", "40000", "--seed", "11"]
+        runs = [run_cli(args + ["--threads", threads], capsys) for threads in ("1", "2")]
+        assert [(code, err) for code, _, err in runs] == [(0, "")] * 2
+        assert body_of(runs[0][1]) == body_of(runs[1][1])
 
     @pytest.mark.parametrize("estimator", ["sm", "hd", "thd-sqrt"])
     def test_one_estimator_gives_its_rows_of_the_full_run(self, estimator, capsys):
@@ -488,6 +502,16 @@ class TestFactorsCommand:
         assert target.read_text() == "old content\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["factors.csv"]
 
+    def test_out_into_a_missing_directory_names_the_path(self, capsys, tmp_path):
+        # The temp file is made first; its error must name the user's path.
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(
+            ["factors", "--n", "3", "--reps", "200", "--out", str(target)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("madkit: [Errno 2] ") and err.endswith(f"'{target}'\n")
+        assert ".madkit-" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_symlink_written_through(self, capsys, tmp_path):
         real = tmp_path / "real.csv"
         real.write_text("old content\n")
@@ -529,7 +553,7 @@ class TestFactorsCommand:
 class TestProvenance:
     @pytest.mark.parametrize("command", ["factors", "efficiency", "sensitivity"])
     def test_line_records_full_config(self, command, capsys):
-        args = [command, "--n", "3,5", "--reps", "200", "--seed", "9", "--chunk-size", "64"]
+        args = [command, "--n", "3,5", "--reps", "200", "--seed", "9"]
         dists = ""
         if command == "sensitivity":
             args += ["--dist", "uniform(a=0,b=1),pareto(loc=1,shape=0.5)"]
@@ -538,7 +562,7 @@ class TestProvenance:
         assert code == 0
         assert out.splitlines()[0] == (
             f"# seed=9 reps=200 version={madkit.__version__} "
-            f"chunk_size=64 streams=4 n=3,5 estimators=sm,hd,thd-sqrt{dists} "
+            f"streams=4 n=3,5 estimators=sm,hd,thd-sqrt{dists} "
             f"numpy={np.__version__}"
         )
 
@@ -823,7 +847,7 @@ class TestThreadsAndInternalChecks:
             assert excinfo.value.code == 2
             assert "argument --threads: invalid int value: 'abc'" in capsys.readouterr().err
         else:
-            # Refused by the study, as a bad --reps or --chunk-size is.
+            # Refused by the study, as a bad --reps is.
             expected = f"madkit: threads must be a positive integer, got {value}\n"
             assert run_cli(argv, capsys) == (2, "", expected)
 

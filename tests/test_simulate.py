@@ -54,10 +54,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             make_config(estimators=())
 
-    def test_rejects_bad_chunk(self):
-        with pytest.raises(ConfigError):
-            make_config(chunk_size=0)
-
     def test_rejects_repeated_estimator(self):
         # A repeat would draw the same samples and compute the same rows twice.
         with pytest.raises(ConfigError, match="estimator hd is listed more than once"):
@@ -109,7 +105,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("sample_sizes", (5.7,)), ("sample_sizes", (5.0,)), ("repetitions", 200.0),
-        ("chunk_size", 64.0), ("master_seed", 1.5), ("master_seed", "1"),
+        ("master_seed", 1.5), ("master_seed", "1"),
     ])
     def test_rejects_integer_field_that_is_not_an_integer(self, field, value):
         # 5.7 once ran as n = 5; the others failed in range() or the Philox key.
@@ -119,11 +115,9 @@ class TestConfig:
 
     def test_numpy_integer_fields_are_ints(self):
         cfg = make_config(sample_sizes=(np.int64(5), np.uint8(3)), repetitions=np.int32(200),
-                          master_seed=np.uint64(2**64 - 1), chunk_size=np.int16(64))
-        assert cfg == make_config(sample_sizes=(5, 3), repetitions=200, master_seed=2**64 - 1,
-                                  chunk_size=64)
-        assert all(type(v) is int for v in (*cfg.sample_sizes, cfg.repetitions,
-                                            cfg.master_seed, cfg.chunk_size))
+                          master_seed=np.uint64(2**64 - 1))
+        assert cfg == make_config(sample_sizes=(5, 3), repetitions=200, master_seed=2**64 - 1)
+        assert all(type(v) is int for v in (*cfg.sample_sizes, cfg.repetitions, cfg.master_seed))
         # A NumPy integer is a worker count too.
         assert estimate_factors(cfg, threads=np.int64(2)).rows == estimate_factors(cfg).rows
 
@@ -179,11 +173,6 @@ class TestEstimateFactors:
         assert a.rows == b.rows
         assert a.to_csv() == b.to_csv()
 
-    def test_chunk_size_is_part_of_identity(self):
-        a = estimate_factors(make_config(chunk_size=500))
-        b = estimate_factors(make_config(chunk_size=512))
-        assert a.rows != b.rows  # different streams, both statistically valid
-
     def test_csv_shape(self):
         text = estimate_factors(make_config()).to_csv()
         lines = text.strip().split("\n")
@@ -207,6 +196,49 @@ class TestEstimateFactors:
                 )
                 errors[reps].append(abs(report.rows[0].c_n - table[5]))
         assert np.median(errors[8000]) <= np.median(errors[2000])
+
+
+def n3_quadrature(estimators, points=1 << 16):
+    """Exact C_3 of each estimator by midpoint quadrature, and the MADs it averaged.
+
+    A standard-normal sample of 3, centred, is ``r * u`` with ``r`` ~ chi(2)
+    and ``u`` uniform on the unit circle of the plane orthogonal to (1, 1, 1),
+    independent.  The raw MAD is location-invariant and scale-equivariant,
+    so E[MAD] = E[chi(2)] * E_u[MAD(u)], with E[chi(2)] = sqrt(pi / 2).
+    E_u is the mean over ``points`` equally spaced angles in a Helmert basis
+    of the plane.  Returns the C_3 values, the ``(points, 3)`` samples and
+    their ``(k, points)`` MADs.
+    """
+    theta = (np.arange(points) + 0.5) * (2 * math.pi / points)
+    basis = np.array([[1, -1, 0], [1, 1, -2]]) / np.sqrt([[2], [6]])
+    samples = np.column_stack([np.cos(theta), np.sin(theta)]) @ basis
+    mads = mad0_batch(samples, np.stack([median_weights(3, est) for est in estimators]))
+    return 1.0 / (math.sqrt(math.pi / 2) * mads.mean(axis=1)), samples, mads
+
+
+class TestExactN3:
+    """C_3 by quadrature on the circle: a reference no Monte-Carlo table gives."""
+
+    ESTIMATORS = (SM, HD, THD_SQRT)
+
+    def test_sm_mad_is_the_smaller_spacing(self):
+        # The sample median of 3 is the middle point, so its MAD is the
+        # smaller of the two spacings: a check of the helper without the kernel.
+        _, samples, mads = n3_quadrature(self.ESTIMATORS)
+        xs = np.sort(samples, axis=1)
+        assert np.array_equal(mads[0], np.minimum(xs[:, 1] - xs[:, 0], xs[:, 2] - xs[:, 1]))
+
+    def test_values_agree_with_the_shipped_table(self):
+        exact, _, _ = n3_quadrature(self.ESTIMATORS)
+        assert exact == pytest.approx([2.20496261, 1.56825186, 1.64553813], abs=1e-8)
+        for est, c_3 in zip(self.ESTIMATORS, exact):
+            assert abs(c_3 - factor_table(est.label)[3]) <= 1e-4, est
+
+    def test_monte_carlo_estimate_lies_within_four_standard_errors(self):
+        exact, _, _ = n3_quadrature(self.ESTIMATORS)
+        rows = estimate_factors(SimulationConfig((3,), 200_000, 1), threads=1).rows
+        for row, c_3 in zip(rows, exact):
+            assert abs(row.c_n - c_3) <= 4 * row.std_error, (row, c_3)
 
 
 class TestEfficiency:
@@ -241,15 +273,17 @@ class TestEfficiency:
         text = efficiency(make_config(sample_sizes=(2,), repetitions=500)).to_csv()
         assert text.startswith("n,var_sm,var_hd,var_thd,e_hd,e_thd\n")
 
-    def test_thread_count_invisible(self):
-        cfg = make_config(sample_sizes=(3,), repetitions=3000, chunk_size=512)
+    def test_thread_count_invisible(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 512)
+        cfg = make_config(sample_sizes=(3,), repetitions=3000)
         assert efficiency(cfg, threads=1).rows == efficiency(cfg, threads=3).rows
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_reads_the_factor_study(self, threads):
+    def test_reads_the_factor_study(self, threads, monkeypatch):
         # var = C_n**2 * var(MAD) on the samples behind the factor rows,
         # across the table -> equation switch at n = 100/101.
-        cfg = SimulationConfig((2, 3, 4, 100, 101), 3000, 7, chunk_size=1000)
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 1000)
+        cfg = SimulationConfig((2, 3, 4, 100, 101), 3000, 7)
         factors = {(row.n, row.estimator): row for row in estimate_factors(cfg, threads).rows}
         for row in efficiency(cfg, threads).rows:
             for est, var in zip((SM, HD, THD_SQRT), row[1:4]):
@@ -286,9 +320,10 @@ class TestSensitivity:
         report = sensitivity(cfg)
         assert all(r.dispersion == 0.0 for r in report.rows)
 
-    def test_deterministic_across_threads(self):
+    def test_deterministic_across_threads(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 128)
         cfg = make_config(
-            sample_sizes=(5,), repetitions=500, chunk_size=128,
+            sample_sizes=(5,), repetitions=500,
             distributions=(parse_spec("lognormal(mlog=0,sdlog=2)"),),
         )
         assert sensitivity(cfg, threads=1).rows == sensitivity(cfg, threads=4).rows
@@ -368,11 +403,10 @@ class TestFitPrediction:
         assert lines[0] == "estimator,alpha,beta,residual_max,n_low,n_high"
         assert lines[1].startswith("sm,-0.76")
 
-    def test_fit_from_report(self):
+    def test_fit_from_report(self, monkeypatch):
         # A simulated FactorReport feeds the same fitting path.
-        config = SimulationConfig(
-            tuple(range(101, 160, 7)), 3000, 7, estimators=(SM,), chunk_size=1024
-        )
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 1024)
+        config = SimulationConfig(tuple(range(101, 160, 7)), 3000, 7, estimators=(SM,))
         report = estimate_factors(config)
         factors = {r.n: r.c_n for r in report.rows if r.estimator == "sm"}
         fit = fit_prediction(factors, (100, 160), "sm")
@@ -386,7 +420,8 @@ class TestStreamContract:
     with key (1, n) for factors and (3, spec key, n) for sensitivity, the
     spec key being the first 8 bytes, little-endian, of the SHA-256 of the
     family and the ``float.hex`` of each parameter.  The cells checked are
-    not the first of their loops.
+    not the first of their loops.  ``_CHUNK_ROWS`` is set small, so a few
+    hundred repetitions make several chunks.
     """
 
     @staticmethod
@@ -395,8 +430,9 @@ class TestStreamContract:
             RngStream(seed, derive_stream_id(*key, i)).generator() for i in range(len(counts))
         ]
 
-    def test_factor_mean_from_chunks(self):
-        cfg = SimulationConfig((3, 5), 300, 21, estimators=(SM, HD), chunk_size=128)
+    def test_factor_mean_from_chunks(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 128)
+        cfg = SimulationConfig((3, 5), 300, 21, estimators=(SM, HD))
         counts = (128, 128, 44)
         row = estimate_factors(cfg).rows[3]
         assert (row.n, row.estimator) == (5, "hd")
@@ -407,10 +443,10 @@ class TestStreamContract:
         ]
         assert row.m_n == math.fsum(sums) / 300
 
-    def test_sensitivity_sd_from_chunks(self):
+    def test_sensitivity_sd_from_chunks(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 100)
         dists = (parse_spec("normal()"), parse_spec("student(df=3)"))
-        cfg = SimulationConfig((4, 7), 250, 5, estimators=(SM, THD_SQRT),
-                               distributions=dists, chunk_size=100)
+        cfg = SimulationConfig((4, 7), 250, 5, estimators=(SM, THD_SQRT), distributions=dists)
         counts = (100, 100, 50)
         row = next(
             r for r in sensitivity(cfg).rows
@@ -444,7 +480,8 @@ class TestStreamContract:
             return draw(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, recording_draw)
-        cfg = make_config(sample_sizes=(7, 3), repetitions=300, chunk_size=100,
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 100)
+        cfg = make_config(sample_sizes=(7, 3), repetitions=300,
                           distributions=(parse_spec("student(df=3)"),))
         (estimate_factors if study == "factors" else sensitivity)(cfg, threads=1)
         # Each of the 2 x 3 chunks is one block, drawn once.
@@ -470,20 +507,21 @@ class TestStreamContract:
         monkeypatch.setattr(DistributionSpec, "draw", recording_draw)
         dists = tuple(parse_spec(t) for t in ("beta(a=2,b=4)", "student(df=3)", "uniform()"))
         cfg = SimulationConfig((1000,), 2000, 1, estimators=(SM,), distributions=dists)
-        assert cfg.chunk_size == 16384
+        assert simulate._CHUNK_ROWS >= 2000  # the shipped unit: one chunk
         sensitivity(cfg, threads=1)
         assert held and max(held) <= _kernel._BLOCK_VALUES + 1000
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_study_leaves_the_calling_threads_scratch_as_it_was(self, threads):
+    def test_study_leaves_the_calling_threads_scratch_as_it_was(self, threads, monkeypatch):
         # The chunks run on pool workers at every thread count, so the
         # calling thread's scratch is neither used, grown nor dropped.
         from madkit import _kernel
 
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 100)
+
         def run():
             held = {slot: _kernel.thread_scratch(slot, 1500) for slot in ("samples", "kernel")}
-            estimate_factors(make_config(sample_sizes=(3, 5), repetitions=200, chunk_size=100),
-                             threads=threads)
+            estimate_factors(make_config(sample_sizes=(3, 5), repetitions=200), threads=threads)
             return held, dict(vars(_kernel._scratch))
 
         with ThreadPoolExecutor(max_workers=1) as pool:
@@ -504,8 +542,8 @@ class TestStreamContract:
                 return draw(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, recording)
-        study(make_config(sample_sizes=(3, 5), repetitions=300, chunk_size=100, **extra),
-              threads=1)
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 100)
+        study(make_config(sample_sizes=(3, 5), repetitions=300, **extra), threads=1)
         assert len(drawers) == 6
         assert len(set(drawers)) == 1
         assert drawers[0] is not threading.current_thread()
@@ -518,15 +556,19 @@ class TestSubsetRuns:
     DISTS = tuple(parse_spec(t) for t in (
         "normal()", "cauchy(x0=0,gamma=1)", "triangular(a=0,b=2,c=0.2)", "student(df=3)"))
 
+    @pytest.fixture(autouse=True)
+    def several_chunks(self, monkeypatch):
+        # So a few hundred repetitions make several chunks per cell.
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 128)
+
     def test_one_estimator_factor_run_is_its_rows_of_the_full_run(self):
-        cfg = make_config(sample_sizes=(2, 3, 5, 10), repetitions=700, chunk_size=256)
+        cfg = make_config(sample_sizes=(2, 3, 5, 10), repetitions=700)
         full = estimate_factors(cfg).rows
         for est in (SM, HD, THD_SQRT):
             alone = estimate_factors(make_config(sample_sizes=(2, 3, 5, 10), repetitions=700,
-                                                 chunk_size=256, estimators=(est,))).rows
+                                                 estimators=(est,))).rows
             assert alone == tuple(r for r in full if r.estimator == est.label)
         reordered = estimate_factors(make_config(sample_sizes=(2, 3, 5, 10), repetitions=700,
-                                                 chunk_size=256,
                                                  estimators=(THD_SQRT, thd(0.5), SM))).rows
         assert (sorted(r for r in reordered if r.estimator != "thd(0.5)")
                 == sorted(r for r in full if r.estimator != "hd"))
@@ -534,15 +576,13 @@ class TestSubsetRuns:
     def test_n2_rows_equal_for_every_estimator(self):
         # One draw serves every estimator, and every estimator's median of
         # two points is their midpoint with weights (0.5, 0.5).
-        rows = estimate_factors(make_config(sample_sizes=(2, 3), repetitions=3000,
-                                            chunk_size=512)).rows
+        rows = estimate_factors(make_config(sample_sizes=(2, 3), repetitions=3000)).rows
         assert [r.estimator for r in rows[:3]] == ["sm", "hd", "thd-sqrt"]
         assert rows[0][2:] == rows[1][2:] == rows[2][2:]
         assert rows[3][2:] != rows[4][2:]
 
     def sensitivity_rows(self, dists, threads=1):
-        cfg = make_config(sample_sizes=(3, 8), repetitions=300, chunk_size=128,
-                          distributions=dists)
+        cfg = make_config(sample_sizes=(3, 8), repetitions=300, distributions=dists)
         return sensitivity(cfg, threads=threads).rows
 
     def test_one_distribution_run_is_its_rows_of_the_full_run(self):
@@ -572,11 +612,14 @@ class TestSubsetRuns:
 
     def test_sensitivity_body_does_not_depend_on_the_hash_seed(self):
         # The builtin str hash is salted per process; a key built from it
-        # would change with PYTHONHASHSEED.
+        # would change with PYTHONHASHSEED.  The child sets the class's small
+        # unit before it runs the command.
         import madkit
 
-        argv = [sys.executable, "-m", "madkit.cli", "sensitivity", "--n", "3,5",
-                "--reps", "300", "--seed", "4", "--chunk-size", "128",
+        run = ("import sys, madkit.simulate; madkit.simulate._CHUNK_ROWS = 128; "
+               "from madkit.cli import main; sys.exit(main(sys.argv[1:]))")
+        argv = [sys.executable, "-c", run, "sensitivity", "--n", "3,5",
+                "--reps", "300", "--seed", "4",
                 "--dist", "normal(),pareto(loc=1,shape=2),lognormal(mlog=0,sdlog=2)"]
         src = os.path.dirname(os.path.dirname(madkit.__file__))
         outputs = []
@@ -629,6 +672,11 @@ class TestNoBlasThreads:
 class TestWorkerCount:
     """One pool per study, fed every cell's chunks in report order."""
 
+    @pytest.fixture(autouse=True)
+    def several_chunks(self, monkeypatch):
+        # So a few hundred repetitions make several chunks per cell.
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 100)
+
     @pytest.fixture
     def pools(self, monkeypatch):
         asked = []
@@ -642,12 +690,12 @@ class TestWorkerCount:
         return asked
 
     def test_pool_capped_at_chunk_count(self, pools):
-        estimate_factors(make_config(sample_sizes=(3,), repetitions=200, chunk_size=100,
-                                     estimators=(SM,)), threads=64)
+        estimate_factors(make_config(sample_sizes=(3,), repetitions=200, estimators=(SM,)),
+                         threads=64)
         assert pools == [2]
 
     def test_one_pool_for_every_cell(self, pools):
-        cfg = make_config(sample_sizes=(3, 5), repetitions=300, chunk_size=100)
+        cfg = make_config(sample_sizes=(3, 5), repetitions=300)
         report = estimate_factors(cfg, threads=2)
         assert pools == [2]
         assert report.rows == estimate_factors(cfg, threads=1).rows
@@ -695,8 +743,7 @@ class TestWorkerCount:
 
         monkeypatch.setattr(simulate, "_normal_matrix", recording_draw)
         monkeypatch.setattr(simulate, "_mean_variance", failing_moments)
-        cfg = make_config(sample_sizes=(3, 5, 7), repetitions=1000, chunk_size=100,
-                          estimators=(SM,))
+        cfg = make_config(sample_sizes=(3, 5, 7), repetitions=1000, estimators=(SM,))
         with pytest.raises(RuntimeError, match=f"{where} failed"):
             estimate_factors(cfg, threads=2)
         # Chunks whose results were read before the failure, plus the window.
@@ -708,8 +755,7 @@ class TestWorkerCount:
 
     def test_sensitivity_csv_same_at_any_thread_count(self):
         dists = tuple(parse_spec(t) for t in ("normal()", "cauchy()", "triangular(a=0,b=2,c=0.2)"))
-        cfg = make_config(sample_sizes=(4, 30), repetitions=500, chunk_size=128,
-                          distributions=dists)
+        cfg = make_config(sample_sizes=(4, 30), repetitions=500, distributions=dists)
         one, two, three = (sensitivity(cfg, threads=t).to_csv() for t in (1, 2, 3))
         assert one == two == three
         assert len(one.splitlines()) == 1 + 3 * 2 * 3 * 3
