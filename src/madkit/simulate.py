@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from madkit._kernel import _BLOCK_VALUES, mad0_batch, thread_scratch
+from madkit._kernel import _block_rows, mad0_batch, thread_scratch
 from madkit.distributions import DistributionSpec, RngStream, derive_stream_id
 from madkit.errors import ConfigError, DomainError, InternalCheckError
 from madkit.mad import (
@@ -304,12 +304,12 @@ def _run_cells(config: SimulationConfig, cells: Sequence, prepare: Callable,
     ``weights``.  ``parts`` are the cell's parts in chunk order.
 
     The samples are never one array: the chunk is taken in blocks of the
-    kernel's ``_BLOCK_VALUES // n`` rows (at least one), each filled by
-    ``draw(rng, block)`` in the worker's ``"samples"`` scratch and passed to
-    one ``mad0_batch`` call that writes its columns of ``mads`` in place,
-    so a chunk allocates one ``mads`` whatever its block count (a result
-    per block tripled ``factors``' minor page faults, as glibc handed the
-    freed arrays back to the OS).  Consecutive draws from one generator
+    kernel's ``_block_rows(n)`` rows (the whole chunk at n <= 12), each
+    filled by ``draw(rng, block)`` in the worker's ``"samples"`` scratch and
+    passed to one ``mad0_batch`` call that writes its columns of ``mads`` in
+    place, so a chunk allocates one ``mads`` whatever its block count (a
+    result per block tripled ``factors``' minor page faults, as glibc
+    handed the freed arrays back to the OS).  Consecutive draws from one generator
     give the rows one draw of the chunk would, so the parts do not depend
     on the block size.  The scratch ends with the worker.
 
@@ -329,7 +329,7 @@ def _run_cells(config: SimulationConfig, cells: Sequence, prepare: Callable,
     def chunk_part(item):
         key, draw, weights, reduce, index = item
         count, n = min(size, reps - index * size), weights.shape[-1]
-        rows = min(count, max(1, _BLOCK_VALUES // n))
+        rows = min(count, _block_rows(n))
         block = thread_scratch("samples", rows * n)[:rows * n].reshape(rows, n)
         mads = np.empty((len(weights), count))
         with np.errstate(over="ignore", invalid="ignore"):

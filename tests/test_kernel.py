@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from madkit import _kernel
-from madkit._kernel import _NARROW_MAX_WIDTH, _plan, _run, mad0_batch
+from madkit._kernel import _NARROW_MAX_WIDTH, _block_rows, _plan, _run, mad0_batch
 from madkit.mad import mad_uncorrected
-from madkit.quantiles import HD, SM, THD_SQRT, median_weights
+from madkit.quantiles import HD, SM, THD_SQRT, median_weights, thd
 
 ALL_KINDS = (SM, HD, THD_SQRT)
 
@@ -173,10 +173,6 @@ def test_huge_rows_stay_finite(kind):
 LIMIT = _NARROW_MAX_WIDTH  # widest row on the wire path
 
 
-def _block_rows(n):
-    return _kernel._BLOCK_VALUES // n
-
-
 def _bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
 
@@ -202,17 +198,21 @@ def _mad0_np_sort(samples, weights):
 
 def _network_sort(a):
     """np.sort(a, axis=1) by the first network, from wire i at buffer row i."""
-    sort, where, _, _ = _plan(a.shape[1])
+    n = a.shape[1]
+    sort, where, _, _ = _plan(n, tuple(range(n)))
     buf = np.full((a.shape[1] + 1, len(a)), np.nan)
     buf[:-1] = a.T
     _run(list(buf), sort)
     return buf[list(where)].T
 
 
-def _merge(v_rows):
-    """The bitonic merger run on rows held in the first network's final layout."""
-    _, where, merge, merged = _plan(v_rows.shape[1])
-    buf = np.full((v_rows.shape[1] + 1, len(v_rows)), np.nan)
+def _merge(v_rows, needed=None):
+    """The bitonic merger, pruned to the wires ``needed`` (all by default),
+    run on rows held in the first network's final layout."""
+    n = v_rows.shape[1]
+    needed = tuple(range(n)) if needed is None else needed
+    _, where, merge, merged = _plan(n, needed)
+    buf = np.full((n + 1, len(v_rows)), np.nan)
     buf[list(where)] = v_rows.T
     _run(list(buf), merge)
     return buf[list(merged)].T
@@ -249,8 +249,33 @@ def test_merger_sorts_every_v_shaped_binary_row(n):
 def test_merger_drops_the_pad_comparators(n, comparators):
     # Padded to the next power of two P, the merger has (P / 2) log2(P)
     # comparators before those touching a pad wire are dropped: 32 at n = 10.
-    _, _, merge, _ = _plan(n)
-    assert len(merge) == comparators
+    # A comparator is two steps, its minimum and its maximum.
+    _, _, merge, _ = _plan(n, tuple(range(n)))
+    assert len(merge) == 2 * comparators
+
+
+@pytest.mark.parametrize("n", range(2, LIMIT + 1))
+def test_pruned_merger_sorts_the_wires_it_keeps(n):
+    # Pruned to any set of output wires, the merger gives those wires the
+    # values of the full merger on every V-shaped binary row, so by the 0-1
+    # principle on every V-shaped row.
+    rows = np.array([[1.0] * a + [0.0] * b + [1.0] * (n - a - b)
+                     for a in range(n + 1) for b in range(n + 1 - a)])
+    want = np.sort(rows, axis=1)
+    for size in (1, 2, 3, n):
+        for needed in itertools.islice(itertools.combinations(range(n), size), 60):
+            assert np.array_equal(_merge(rows, needed)[:, needed], want[:, needed]), needed
+
+
+def test_pruned_merger_does_only_the_work_sm_reads():
+    # At n = 10 sm reads sorted wires 4 and 5 and the clamp wires 0 and 9:
+    # the last stage keeps (4, 5) whole and the low half of (0, 1) and high
+    # half of (8, 9), the stage before it four low halves, and the first
+    # two stages stay whole: 20 steps where the full merger takes 30.
+    needed = (0, 4, 5, 9)
+    _, _, merge, _ = _plan(10, needed)
+    assert len(merge) == 20
+    assert [op.__name__ for op, *_ in merge[-4:]] == ["minimum", "minimum", "maximum", "maximum"]
 
 
 def test_network_leaves_nan_rows_sorted_but_for_nan():
@@ -419,6 +444,35 @@ def test_non_finite_and_signed_zero_rows_match_reference(kind):
         assert np.array_equal(_bits(got[~nan]), _bits(expected[~nan])), n
 
 
+# Zeros of either sign, ties, a value 1 ulp above another, subnormals,
+# values whose differences overflow, infinities and NaN.
+ADVERSARIAL = np.array([0.0, -0.0, 1.0, 1.0 + 2**-52, -1.0, 1e-310, -1e-310, 1e300, -1e300,
+                        1.7e308, -1.7e308, np.inf, -np.inf, np.nan])
+
+
+@pytest.mark.parametrize("n", range(2, LIMIT + 1))
+def test_adversarial_rows_keep_every_bit(n):
+    # The wire path sums only the nonzero weights and prunes the deviation
+    # merger to the wires those and the clamp read, so its stacks put zeros
+    # in different places: sm reads one or two wires, thd(0.1) and thd-sqrt
+    # a few, hd all.  A row of non-finite range (or whose range overflows)
+    # must take np.sort, where a skipped 0 * inf still gives NaN.  Each part
+    # is its own call, so a block of only finite values meets the overflow.
+    stack = np.stack([median_weights(n, kind) for kind in (SM, HD, THD_SQRT, thd(0.1), thd(0.5))])
+    rng = np.random.default_rng(40 + n)
+    finite = np.isfinite(ADVERSARIAL)
+    parts = [ADVERSARIAL[rng.integers(0, len(ADVERSARIAL), (20000, n))],
+             ADVERSARIAL[finite][rng.integers(0, finite.sum(), (5000, n))],
+             ADVERSARIAL[rng.integers(0, 4, (5000, n))]]
+    if n <= 8:
+        parts.append(np.array(list(itertools.product((-1.0, 0.0, 1.0, 2.0), repeat=n))))
+    for samples in parts:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = mad0_batch(samples, stack)
+            want = np.stack([_mad0_np_sort(samples, wk) for wk in stack])
+        assert np.array_equal(_bits(got), _bits(want)), len(samples)
+
+
 @pytest.mark.parametrize("n", (5, LIMIT + 30))
 def test_rejects_mismatched_weights_any_width(n):
     samples = np.zeros((4, n))
@@ -484,6 +538,15 @@ def test_concurrent_threads_keep_their_own_scratch():
     for want, got in zip(expected, results):
         for mads in got:
             assert np.array_equal(_bits(mads), _bits(want))
+
+
+def test_scratch_starts_on_a_cache_line():
+    # Misaligned output rows doubled the time of the deviation pass.
+    def sizes():
+        return [_kernel.thread_scratch("kernel", size).ctypes.data % 64
+                for size in (1, 1000, 1 << 18, 1 << 20, 3 << 20)]
+
+    assert _on_new_thread(sizes) == [0] * 5
 
 
 def test_result_never_aliases_scratch():

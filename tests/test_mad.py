@@ -396,6 +396,15 @@ class TestMadCorrected:
                 mapped = mad_corrected(a * x + b, kind).corrected
                 assert mapped == pytest.approx(abs(a) * base, rel=1e-9, abs=1e-12)
 
+    def test_large_sample_with_weights_past_the_old_iteration_cap(self):
+        # hd and thd-sqrt weights at n = 1.6e6 need 510 iterations of the
+        # Beta continued fraction; a fixed cap of 500 raised ArithmeticError.
+        x = np.random.default_rng(23).standard_normal(1_600_000)
+        for kind in (HD, THD_SQRT):
+            result = mad_corrected(x, kind)
+            assert result.factor_source == "fitted"
+            assert result.corrected == pytest.approx(1.0, rel=0.01)
+
     def test_default_model_is_implicit(self):
         x = [1.0, 2.0, 4.0, 8.0]
         assert mad_corrected(x, SM).corrected == mad_corrected(x, SM, DEFAULT_MODEL).corrected

@@ -389,6 +389,15 @@ class TestWeightProperties:
                 assert w.sum() == pytest.approx(1.0, abs=1e-10)
                 assert (w >= -1e-15).all()
 
+    @pytest.mark.parametrize("n", [1_600_000, 3_000_000])
+    def test_large_n_weights_converge(self, n):
+        # The Beta continued fraction needs more iterations as n grows (510
+        # at n = 1.6e6, 649 at 3e6); a fixed cap of 500 raised here.
+        for w in (hd_weights(n, 0.5), thd_weights(n, 0.5, 1 / math.sqrt(n))):
+            assert w.sum() == pytest.approx(1.0, abs=1e-10)
+            assert (w >= 0.0).all()
+            assert np.array_equal(w, w[::-1])
+
     def test_monotone_in_data(self):
         # Raising one observation never lowers a nonnegative-weight estimate.
         rng = np.random.default_rng(10)

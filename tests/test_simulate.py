@@ -511,6 +511,24 @@ class TestStreamContract:
         sensitivity(cfg, threads=1)
         assert held and max(held) <= _kernel._BLOCK_VALUES + 1000
 
+    def test_a_narrow_chunk_is_one_kernel_call(self, monkeypatch):
+        # Rows of 2 to 12 values take the wire path in blocks of a whole
+        # chunk, so at n = 10 and 12 (two blocks of 2**17 values before)
+        # a chunk is drawn once and run through the kernel in one call.
+        from madkit import _kernel
+
+        blocks = []
+        wires = _kernel._mad_wires
+
+        def recording_wires(block, *rest):
+            blocks.append(block.shape)
+            return wires(block, *rest)
+
+        monkeypatch.setattr(_kernel, "_mad_wires", recording_wires)
+        size = simulate._CHUNK_ROWS
+        estimate_factors(make_config(sample_sizes=(10, 12), repetitions=size + 100), threads=1)
+        assert blocks == [(size, 10), (100, 10), (size, 12), (100, 12)]
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_study_leaves_the_calling_threads_scratch_as_it_was(self, threads, monkeypatch):
         # The chunks run on pool workers at every thread count, so the

@@ -92,7 +92,7 @@ def _reg_inc_beta_one_point(v, a, b):
     The reference for the array code, which runs this loop's operations in
     the same order on every element.
     """
-    from madkit.specfun import _CF_EPS, _CF_MAX_ITER, _CF_TINY, _log_beta
+    from madkit.specfun import _CF_EPS, _CF_TINY, _cf_max_iter, _log_beta
 
     def fraction(a, b, x):
         qab, qap, qam = a + b, a + 1.0, a - 1.0
@@ -102,7 +102,7 @@ def _reg_inc_beta_one_point(v, a, b):
             d = _CF_TINY
         d = 1.0 / d
         h = d
-        for m in range(1, _CF_MAX_ITER + 1):
+        for m in range(1, _cf_max_iter(a, b) + 1):
             m2 = 2 * m
             for aa in (
                 m * (b - m) * x / ((qam + m2) * (a + m2)),
@@ -182,7 +182,7 @@ class TestRegIncBetaArray:
     def test_non_convergence_raises(self, monkeypatch):
         from madkit import specfun
 
-        monkeypatch.setattr(specfun, "_CF_MAX_ITER", 1)
+        monkeypatch.setattr(specfun, "_cf_max_iter", lambda a, b: 1)
         params = BetaParams(50.0, 50.0)
         with pytest.raises(ArithmeticError):
             reg_inc_beta(0.45, params)
