@@ -86,19 +86,23 @@ at n = 4 sm's and thd-sqrt's).
 
 Scratch.  In a call of more than one row, a block's two buffers (wire
 buffers, or sorted rows and their deviations) are views of one float64
-array per thread (``thread_scratch``), grown when a call needs more and
-never shrunk: blocks of a few MB allocated per call were returned to the
-OS (glibc maps them) and faulted in again by the next call.  The array
-starts on a 64-byte boundary, where NumPy's binary ufuncs write fastest.  A one-row
-call's two buffers share one fresh array.  The result is a fresh array
-or the caller's ``out``, never scratch.
-Only the kernel and ``simulate._run_cells`` use it.  ``_run_cells``
-keeps one kernel block of samples there, ``_block_rows(n)`` rows, which
-it fills from the chunk's generator before each kernel call, so a study
-worker holds three blocks of scratch, never a chunk of samples (at n <=
-12 the block is the chunk, drawn once).  A study's chunks run on its
-pool's workers, so its scratch ends with them and the calling thread
-holds none.
+array per thread (``thread_scratch``), laid out for a full block of the
+row width whatever the call's row count (``_block_buffers``).  The array
+is grown when a call needs more and never shrunk: blocks of a few MB
+allocated per call were returned to the OS (glibc maps them) and faulted
+in again by the next call.  It starts on a 64-byte boundary, where
+NumPy's binary ufuncs write fastest.  A one-row call's two buffers share
+one fresh array.  The result is a fresh array or the caller's ``out``,
+never scratch.
+Only the kernel and ``simulate._run_cells`` use it.  ``_run_cells`` draws
+each kernel block of a chunk, ``_block_rows(n)`` rows, into
+``_sample_block(n)``, the start of the second buffer, so a study worker's
+scratch is the kernel's two buffers and never a chunk of samples (at n <=
+12 the block is the chunk, drawn once).  The kernel reads a block only
+before it writes that buffer: ``_mad_np_sort`` in its first copy, the
+wire path in its transposed copy and, for rows of non-finite range, in a
+copy taken right after the sort.  A study's chunks run on its pool's
+workers, so its scratch ends with them and the calling thread holds none.
 """
 from __future__ import annotations
 
@@ -127,8 +131,8 @@ _NARROW_MAX_WIDTH = 12
 # blocks, and at least two of these: for wide rows the sorted rows and
 # their deviations (2.1 MB), for rows of 2 to 12 values two ``(n + 1,
 # _WIRE_ROWS)`` wire buffers (up to 3.4 MB at n = 12).  A study draws each
-# chunk and passes it to the kernel one block at a time
-# (``simulate._run_cells``), so a study worker's samples are a third block;
+# block of a chunk into the start of the second buffer
+# (``simulate._run_cells``), so its samples take no scratch of their own;
 # the samplers in ``madkit.distributions`` fill their output in pieces of
 # this size, so a draw's temporaries are one piece long.
 _BLOCK_VALUES = 1 << 17
@@ -144,25 +148,27 @@ _WIRE_ROWS = 1 << 14
 _scratch = threading.local()
 
 
-def thread_scratch(slot: str, size: int) -> np.ndarray:
-    """This thread's flat float64 scratch array ``slot``, at least ``size`` long.
+def thread_scratch(size: int) -> np.ndarray:
+    """This thread's flat float64 scratch array, at least ``size`` long.
 
-    The array is kept for the thread's next call with the same ``slot``,
-    grown when a call needs more and never shrunk; what it holds is only
-    valid until that next call.  It starts on a 64-byte boundary, so the
-    wire buffers' rows (16384 floats apart) do too.  ``np.empty`` of a few
-    MB starts 16 bytes past one (glibc's mmap header), where NumPy's
-    AVX-512 loop for ``np.subtract`` into a 16384-float row took about
-    twice as long; on that scratch the narrow kernel took 1.1-1.2x the
-    time of this one on a 16384-row chunk (n = 2 to 12, three stacked
-    vectors, best of 40 alternated calls, 2-vCPU AVX-512 Xeon).
+    The array is kept for the thread's next call, grown when a call needs
+    more and never shrunk; what it holds is only valid until that next
+    call.  It holds the kernel's two block buffers (``_block_buffers``),
+    and a study's samples at the start of the second.  It starts on a
+    64-byte boundary, so the wire buffers' rows (16384 floats apart) do
+    too.  ``np.empty`` of a few MB starts 16 bytes past one (glibc's mmap
+    header), where NumPy's AVX-512 loop for ``np.subtract`` into a
+    16384-float row took about twice as long; on that scratch the narrow
+    kernel took 1.1-1.2x the time of this one on a 16384-row chunk (n = 2
+    to 12, three stacked vectors, best of 40 alternated calls, 2-vCPU
+    AVX-512 Xeon).
     """
-    values = getattr(_scratch, slot, None)
+    values = getattr(_scratch, "values", None)
     if values is None or values.size < size:
         values = np.empty(size + 7)
         start = -values.ctypes.data % 64 // 8
         values = values[start:start + size]
-        setattr(_scratch, slot, values)
+        _scratch.values = values
     return values
 
 
@@ -172,6 +178,36 @@ def _block_rows(n: int) -> int:
     if 2 <= n <= _NARROW_MAX_WIDTH:
         return _WIRE_ROWS
     return max(1, _BLOCK_VALUES // max(n, 1))
+
+
+def _block_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's two kernel buffers for a call of more than one row of width ``n``.
+
+    Each holds a full block whatever the call's row count: ``(n + 1,
+    _block_rows(n))`` wire buffers at 2 <= n <= 12, else
+    ``(_block_rows(n), n)`` rows.  The scratch is at least two blocks of
+    ``_BLOCK_VALUES``, so a study thread allocates it once for every width
+    it meets but the wire widths 8 to 12, whose buffers are larger:
+    freeing a smaller array to grow it raises glibc's dynamic mmap
+    threshold, and the thread's later temporaries then stay in its heap
+    (sensitivity, n = 5 then 30: 3 MB more peak RSS).
+    """
+    rows = _block_rows(n)
+    shape = (n + 1, rows) if 2 <= n <= _NARROW_MAX_WIDTH else (rows, n)
+    size = shape[0] * shape[1]
+    scratch = thread_scratch(max(2 * size, 2 * _BLOCK_VALUES))
+    return scratch[:size].reshape(shape), scratch[size:2 * size].reshape(shape)
+
+
+def _sample_block(n: int) -> np.ndarray:
+    """The ``(_block_rows(n), n)`` view at the start of this thread's second kernel buffer.
+
+    A study draws each kernel block here: ``mad0_batch`` on it, or on its
+    leading rows, reads the samples before it writes that buffer.  Valid
+    until the thread's next kernel call has returned.
+    """
+    rows = _block_rows(n)
+    return _block_buffers(n)[1].reshape(-1)[:rows * n].reshape(rows, n)
 
 
 def _batcher_pairs(n: int) -> tuple[tuple[int, int], ...]:
@@ -323,6 +359,17 @@ def _mad_wires(block: np.ndarray, stack: np.ndarray, out: np.ndarray,
     sort, where, _, _ = _plan(n, tuple(range(n)))
     _run(wires, sort)
     sorted_wires = [wires[r] for r in where]
+    # NaN reaches the first wire, +-inf an end.  A finite range bounds a
+    # row's values and deviations, so no skipped term was inf * 0; the
+    # block's widest range bounds every row's, in two reductions.  The
+    # block may lie in ``dbuf`` (``_sample_block``), so the rows of
+    # non-finite range are copied before the deviations overwrite it.
+    first, last = sorted_wires[0], sorted_wires[-1]
+    bad = None
+    if not math.isfinite(float(last.max()) - float(first.min())):
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = ~np.isfinite(last - first)
+        rows = block[bad]
     for k, wk in enumerate(stack):
         terms = tuple(np.flatnonzero(wk).tolist()) or (0,)
         _, _, merge, merged = _plan(n, tuple(sorted({0, n - 1, *terms})))
@@ -331,14 +378,7 @@ def _mad_wires(block: np.ndarray, stack: np.ndarray, out: np.ndarray,
         np.abs(dbuf, out=dbuf)
         _run(devs, merge)
         out[k] = _weighted_median([devs[r] for r in merged], wk, terms)
-    # NaN reaches the first wire, +-inf an end.  A finite range bounds a
-    # row's values and deviations, so no skipped term was inf * 0; the
-    # block's widest range bounds every row's, in two reductions.
-    first, last = sorted_wires[0], sorted_wires[-1]
-    if not math.isfinite(float(last.max()) - float(first.min())):
-        with np.errstate(over="ignore", invalid="ignore"):
-            bad = ~np.isfinite(last - first)
-        rows = block[bad]
+    if bad is not None:
         mads = np.empty((len(stack), len(rows)))
         _mad_np_sort(rows, stack, mads, *np.empty((2, *rows.shape)))
         out[:, bad] = mads
@@ -352,7 +392,8 @@ def mad0_batch(samples: np.ndarray, weights: np.ndarray,
     shape ``(k, n)`` gives ``(k, rows)``, row ``k`` equal to the call with
     ``weights[k]`` alone.  ``out``, a float64 array of the result's shape
     (a view such as a study's columns ``mads[:, start:stop]``), receives
-    the MADs and is returned.
+    the MADs and is returned.  ``samples`` may be this thread's
+    ``_sample_block(n)`` or its leading rows.
     """
     x = np.asarray(samples, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
@@ -378,22 +419,12 @@ def mad0_batch(samples: np.ndarray, weights: np.ndarray,
         index = {}
         source = [index.setdefault(wk.tobytes(), len(index)) for wk in stack]
         stack = stack[[source.index(j) for j in range(len(index))]]
-    step = max(1, min(rows, _block_rows(n)))
     wired = rows > 1 and 2 <= n <= _NARROW_MAX_WIDTH
-    shape = (n + 1, step) if wired else (step, n)
-    size = shape[0] * shape[1]
-    # A call takes at least two blocks of ``_BLOCK_VALUES``, so a study
-    # thread allocates its scratch once for every width it meets but the
-    # wire widths 8 to 12, whose buffers are larger: freeing a smaller array
-    # to grow it raises glibc's dynamic mmap threshold, and the thread's
-    # later temporaries then stay in its heap (sensitivity, n = 5 then 30:
-    # 3 MB more peak RSS).  A ``madkit mad`` call keeps none; two arrays in
-    # place of its one took about 1.35x the time on one row of 1e5 values
-    # (best of 7, 2-vCPU Xeon).
-    scratch = (thread_scratch("kernel", max(2 * size, 2 * _BLOCK_VALUES)) if rows > 1
-               else np.empty(2 * size))
-    first = scratch[:size].reshape(shape)
-    second = scratch[size:2 * size].reshape(shape)
+    # A ``madkit mad`` call keeps no scratch; two arrays in place of its
+    # one took about 1.35x the time on one row of 1e5 values (best of 7,
+    # 2-vCPU Xeon).
+    first, second = _block_buffers(n) if rows > 1 else np.empty((2, 1, n))
+    step = first.shape[1] if wired else len(first)
     for start in range(0, rows, step):
         block = x[start:start + step]
         count = len(block)

@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from madkit._kernel import _block_rows, mad0_batch, thread_scratch
+from madkit._kernel import _sample_block, mad0_batch
 from madkit.distributions import DistributionSpec, RngStream, derive_stream_id
 from madkit.errors import ConfigError, DomainError, InternalCheckError
 from madkit.mad import (
@@ -305,13 +305,15 @@ def _run_cells(config: SimulationConfig, cells: Sequence, prepare: Callable,
 
     The samples are never one array: the chunk is taken in blocks of the
     kernel's ``_block_rows(n)`` rows (the whole chunk at n <= 12), each
-    filled by ``draw(rng, block)`` in the worker's ``"samples"`` scratch and
+    filled by ``draw(rng, block)`` in the worker's kernel scratch, at the
+    start of the kernel's second buffer (``_kernel._sample_block``), and
     passed to one ``mad0_batch`` call that writes its columns of ``mads`` in
-    place, so a chunk allocates one ``mads`` whatever its block count (a
-    result per block tripled ``factors``' minor page faults, as glibc
-    handed the freed arrays back to the OS).  Consecutive draws from one generator
-    give the rows one draw of the chunk would, so the parts do not depend
-    on the block size.  The scratch ends with the worker.
+    place.  So a worker's scratch is the kernel's two buffers, and a chunk
+    allocates one ``mads`` whatever its block count (a result per block
+    tripled ``factors``' minor page faults, as glibc handed the freed
+    arrays back to the OS).  Consecutive draws from one generator give the
+    rows one draw of the chunk would, so the parts do not depend on the
+    block size.  The scratch ends with the worker.
 
     Every chunk of every cell runs on one ``_map_ordered`` pool of
     ``threads`` workers, capped at the chunk count and fed lazily in report
@@ -328,15 +330,14 @@ def _run_cells(config: SimulationConfig, cells: Sequence, prepare: Callable,
 
     def chunk_part(item):
         key, draw, weights, reduce, index = item
-        count, n = min(size, reps - index * size), weights.shape[-1]
-        rows = min(count, _block_rows(n))
-        block = thread_scratch("samples", rows * n)[:rows * n].reshape(rows, n)
+        count = min(size, reps - index * size)
+        block = _sample_block(weights.shape[-1])
         mads = np.empty((len(weights), count))
         with np.errstate(over="ignore", invalid="ignore"):
             # NumPy warns of an invalid cast when it builds a Philox key
             # from a seed at or above 2**63.
             rng = RngStream(config.master_seed, derive_stream_id(*key, index)).generator()
-            for start in range(0, count, rows):
+            for start in range(0, count, len(block)):
                 samples = draw(rng, block[:count - start])
                 mad0_batch(samples, weights, out=mads[:, start:start + len(samples)])
             return reduce(mads)

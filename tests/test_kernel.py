@@ -473,6 +473,35 @@ def test_adversarial_rows_keep_every_bit(n):
         assert np.array_equal(_bits(got), _bits(want)), len(samples)
 
 
+@pytest.mark.parametrize("n", (*range(2, LIMIT + 2), 100))
+def test_drawn_block_keeps_every_bit(n):
+    # A study draws each block into the start of the kernel's second
+    # buffer, which the deviations then overwrite: the kernel must read
+    # the samples, the wire path's rows of non-finite range included,
+    # before it writes there.  A full block, a study's last chunk of 1e6
+    # reps (576 rows) and one row, of mixed and of finite adversarial values.
+    stack = np.stack([median_weights(n, kind) for kind in (SM, HD, THD_SQRT, thd(0.1), thd(0.5))])
+    rng = np.random.default_rng(70 + n)
+    finite = ADVERSARIAL[np.isfinite(ADVERSARIAL)]
+
+    def run():
+        block = _kernel._sample_block(n)
+        results = []
+        for values in (ADVERSARIAL, finite):
+            for rows in (len(block), 576, 1):
+                view = block[:rows]
+                view[:] = values[rng.integers(0, len(values), view.shape)]
+                samples = view.copy()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = mad0_batch(view, stack)
+                    want = np.stack([_mad0_np_sort(samples, wk) for wk in stack])
+                results.append((rows, got, want))
+        return results
+
+    for rows, got, want in _on_new_thread(run):
+        assert np.array_equal(_bits(got), _bits(want)), rows
+
+
 @pytest.mark.parametrize("n", (5, LIMIT + 30))
 def test_rejects_mismatched_weights_any_width(n):
     samples = np.zeros((4, n))
@@ -543,10 +572,30 @@ def test_concurrent_threads_keep_their_own_scratch():
 def test_scratch_starts_on_a_cache_line():
     # Misaligned output rows doubled the time of the deviation pass.
     def sizes():
-        return [_kernel.thread_scratch("kernel", size).ctypes.data % 64
+        return [_kernel.thread_scratch(size).ctypes.data % 64
                 for size in (1, 1000, 1 << 18, 1 << 20, 3 << 20)]
 
     assert _on_new_thread(sizes) == [0] * 5
+
+
+@pytest.mark.parametrize("n", (2, 7, 8, LIMIT, LIMIT + 1, 100, 1000))
+def test_sample_block_is_the_start_of_the_second_buffer(n):
+    # A study's samples and the kernel's two block buffers are one scratch
+    # array, laid out for a full block whatever a call's row count.
+    def layout():
+        block = _kernel._sample_block(n)
+        mad0_batch(np.ones((3, n)), median_weights(n, SM))
+        first, second = _kernel._block_buffers(n)
+        return block, first, second, dict(vars(_kernel._scratch))
+
+    block, first, second, held = _on_new_thread(layout)
+    assert block.shape == (_block_rows(n), n) and block.flags.c_contiguous
+    assert block.ctypes.data == second.ctypes.data and block.size <= second.size
+    assert first.shape == second.shape
+    assert first.shape == ((n + 1, _block_rows(n)) if n <= LIMIT else (_block_rows(n), n))
+    assert held.keys() == {"values"}
+    assert all(np.shares_memory(a, held["values"]) for a in (block, first, second))
+    assert not np.shares_memory(first, second)
 
 
 def test_result_never_aliases_scratch():
@@ -554,7 +603,7 @@ def test_result_never_aliases_scratch():
         x, w = _calls()[0]
         first = mad0_batch(x, w)
         second = mad0_batch(x, w)
-        return first, second, _kernel.thread_scratch("kernel", 0)
+        return first, second, _kernel.thread_scratch(0)
 
     first, second, scratch = _on_new_thread(two_calls)
     assert not np.shares_memory(first, second)

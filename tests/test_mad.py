@@ -107,14 +107,14 @@ class TestMadUncorrected:
         from madkit import _kernel
 
         def call():
-            held = {slot: _kernel.thread_scratch(slot, 1000) for slot in ("samples", "kernel")}
+            held = _kernel.thread_scratch(1000)
             mad_corrected(np.random.default_rng(5).standard_normal(10_000), HD)
             return held, dict(vars(_kernel._scratch))
 
         with ThreadPoolExecutor(max_workers=1) as pool:
             held, after = pool.submit(call).result()
-        assert after.keys() == held.keys()
-        assert all(after[slot] is held[slot] for slot in held)
+        assert after.keys() == {"values"}
+        assert after["values"] is held
 
 
 class TestDefaultModel:

@@ -241,6 +241,49 @@ class TestExactN3:
             assert abs(row.c_n - c_3) <= 4 * row.std_error, (row, c_3)
 
 
+def n4_quadrature(estimators, polar=1000, azimuthal=2000):
+    """Exact C_4 of each estimator by midpoint quadrature on the sphere.
+
+    As in ``n3_quadrature``, with ``u`` uniform on the unit 2-sphere of the
+    space orthogonal to (1, 1, 1, 1) and E[chi(3)] = 2 sqrt(2 / pi).  E_u is
+    the mean over a midpoint grid of ``polar`` x ``azimuthal`` angles in a
+    Helmert basis of that space, each point weighted by the sine of its
+    polar angle, the sphere's area element.
+    """
+    basis = np.array([[1, -1, 0, 0], [1, 1, -2, 0], [1, 1, 1, -3]]) / np.sqrt([[2], [6], [12]])
+    weights = np.stack([median_weights(4, est) for est in estimators])
+    phi = (np.arange(azimuthal) + 0.5) * (2 * math.pi / azimuthal)
+    circle = np.column_stack([np.cos(phi), np.sin(phi)])
+    total, area = np.zeros(len(estimators)), 0.0
+    for theta in (np.arange(polar) + 0.5) * (math.pi / polar):
+        ring = np.column_stack([math.sin(theta) * circle, np.full(azimuthal, math.cos(theta))])
+        total += mad0_batch(ring @ basis, weights).sum(axis=1) * math.sin(theta)
+        area += azimuthal * math.sin(theta)
+    return 1.0 / (2 * math.sqrt(2 / math.pi) * total / area)
+
+
+class TestExactN4:
+    """C_4 by quadrature on the sphere: a reference no Monte-Carlo table gives."""
+
+    ESTIMATORS = (SM, HD, THD_SQRT)
+    # sm's and thd-sqrt's weights at n = 4 are both (0, 1/2, 1/2, 0).  The
+    # grid of 1000 x 2000 angles reads 2.01717937 and 1.59590043; 2000 x
+    # 4000 reads 2.01717884 and 1.59590028, and 4000 x 8000 2.01717870 and
+    # 1.59590024, so the coarse grid lies within 1e-6 of these values.
+    EXACT = (2.017179, 1.595900, 2.017179)
+
+    def test_values_agree_with_the_shipped_table(self):
+        exact = n4_quadrature(self.ESTIMATORS)
+        assert exact == pytest.approx(self.EXACT, abs=2e-6)
+        for est, c_4 in zip(self.ESTIMATORS, exact):
+            assert abs(c_4 - factor_table(est.label)[4]) <= 1e-4, est
+
+    def test_monte_carlo_estimate_lies_within_four_standard_errors(self):
+        rows = estimate_factors(SimulationConfig((4,), 200_000, 1), threads=1).rows
+        for row, c_4 in zip(rows, self.EXACT):
+            assert abs(row.c_n - c_4) <= 4 * row.std_error, (row, c_4)
+
+
 class TestEfficiency:
     def test_requires_sm_baseline(self):
         with pytest.raises(ConfigError):
@@ -464,8 +507,9 @@ class TestStreamContract:
 
     @pytest.mark.parametrize("study", ["factors", "sensitivity"])
     def test_draws_fill_the_threads_one_sample_buffer(self, study, monkeypatch):
-        # The samples live only for their chunk, so every draw of a study
-        # thread refills its one "samples" scratch buffer, whatever the width.
+        # The samples live only for their block, so every draw of a study
+        # thread fills the start of its kernel scratch's second buffer, at
+        # a wire width and a wide one.
         from madkit import _kernel
         from madkit.distributions import DistributionSpec
 
@@ -476,32 +520,34 @@ class TestStreamContract:
 
         def recording_draw(*args, **kwargs):
             out = kwargs.get("out", args[-1])
-            seen.append((out, _kernel.thread_scratch("samples", 0)))
+            seen.append((out, _kernel._block_buffers(out.shape[1])[1]))
             return draw(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, recording_draw)
         monkeypatch.setattr(simulate, "_CHUNK_ROWS", 100)
-        cfg = make_config(sample_sizes=(7, 3), repetitions=300,
+        cfg = make_config(sample_sizes=(7, 30), repetitions=300,
                           distributions=(parse_spec("student(df=3)"),))
         (estimate_factors if study == "factors" else sensitivity)(cfg, threads=1)
         # Each of the 2 x 3 chunks is one block, drawn once.
         assert len(seen) == 6
-        assert all(buffer is seen[0][1] for _, buffer in seen)
-        assert all(np.shares_memory(out, buffer) for out, buffer in seen)
+        assert all(out.ctypes.data == second.ctypes.data for out, second in seen)
 
     def test_a_worker_holds_one_kernel_block_of_samples(self, monkeypatch):
         # A chunk of 2000 rows at n = 1000 is drawn and run through the
-        # kernel in blocks of 131 rows, so the sample scratch never holds
-        # the chunk's 2e6 values, for the families drawn by NumPy's own
-        # samplers too.
+        # kernel in blocks of 131 rows, so a draw never fills the chunk's
+        # 2e6 values, for the families drawn by NumPy's own samplers too,
+        # and the worker's scratch is one array: the kernel's, which holds
+        # the block.
         from madkit import _kernel
         from madkit.distributions import DistributionSpec
 
         draw = DistributionSpec.draw
-        held = []
+        seen = []
 
         def recording_draw(*args, **kwargs):
-            held.append(_kernel.thread_scratch("samples", 0).size)
+            out = kwargs["out"]
+            held = dict(vars(_kernel._scratch))
+            seen.append((out.shape, held.keys(), np.shares_memory(out, held["values"])))
             return draw(*args, **kwargs)
 
         monkeypatch.setattr(DistributionSpec, "draw", recording_draw)
@@ -509,7 +555,10 @@ class TestStreamContract:
         cfg = SimulationConfig((1000,), 2000, 1, estimators=(SM,), distributions=dists)
         assert simulate._CHUNK_ROWS >= 2000  # the shipped unit: one chunk
         sensitivity(cfg, threads=1)
-        assert held and max(held) <= _kernel._BLOCK_VALUES + 1000
+        block = _kernel._block_rows(1000)
+        assert block == 131
+        assert [shape for shape, _, _ in seen] == ([(block, 1000)] * 15 + [(35, 1000)]) * 3
+        assert all(keys == {"values"} and shared for _, keys, shared in seen)
 
     def test_a_narrow_chunk_is_one_kernel_call(self, monkeypatch):
         # Rows of 2 to 12 values take the wire path in blocks of a whole
@@ -538,14 +587,14 @@ class TestStreamContract:
         monkeypatch.setattr(simulate, "_CHUNK_ROWS", 100)
 
         def run():
-            held = {slot: _kernel.thread_scratch(slot, 1500) for slot in ("samples", "kernel")}
+            held = _kernel.thread_scratch(1500)
             estimate_factors(make_config(sample_sizes=(3, 5), repetitions=200), threads=threads)
             return held, dict(vars(_kernel._scratch))
 
         with ThreadPoolExecutor(max_workers=1) as pool:
             held, after = pool.submit(run).result()
-        assert after.keys() == held.keys()
-        assert all(after[slot] is held[slot] for slot in held)
+        assert after.keys() == {"values"}
+        assert after["values"] is held
 
     @pytest.mark.parametrize("study,extra", STUDIES)
     def test_one_thread_draws_on_one_worker_not_the_caller(self, study, extra, monkeypatch):
