@@ -177,7 +177,7 @@ def _block_rows(n: int) -> int:
     else ``_BLOCK_VALUES // n`` (at least one)."""
     if 2 <= n <= _NARROW_MAX_WIDTH:
         return _WIRE_ROWS
-    return max(1, _BLOCK_VALUES // max(n, 1))
+    return max(1, _BLOCK_VALUES // n)
 
 
 def _block_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -400,6 +400,8 @@ def mad0_batch(samples: np.ndarray, weights: np.ndarray,
     if x.ndim != 2:
         raise ValueError(f"samples must be a 2-D (rows, n) array, got shape {x.shape}")
     rows, n = x.shape
+    if n == 0:
+        raise ValueError(f"samples must hold at least one value per row, got shape {x.shape}")
     stack = w.reshape(1, -1) if w.ndim == 1 else w
     if stack.ndim != 2 or stack.shape[1] != n:
         raise ValueError(f"weights of shape {w.shape} do not match rows of width {n}")

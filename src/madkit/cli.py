@@ -103,8 +103,9 @@ def _range(text: str) -> tuple[float, float]:
 
 
 def _parse_lines(text: str) -> list[float]:
-    # Token by token, so a failure names its line; the reference for the
-    # one-pass parse in _read_numbers, which falls back to it on any failure.
+    # Token by token with Python's float, so a failure names its line; the
+    # reference for the C reader in _read_numbers, which falls back to it
+    # whenever that reader refuses the input.
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         for token in line.replace(",", " ").split():
@@ -138,7 +139,7 @@ def _one_table(data: bytes) -> bool:
 
     A comma, or a first and a last non-blank line with different token
     counts, makes NumPy's C reader fail only after it has read the whole
-    file, so such a file goes straight to the token path.
+    file, so such a file goes straight to the token list.
     """
     if b"," in data:
         return False
@@ -150,20 +151,21 @@ def _one_table(data: bytes) -> bool:
     return len(body[:min(ends)].split()) == len(last.split())
 
 
-def _load_table(path: str) -> np.ndarray | None:
-    """The numbers of the file ``path`` by NumPy's C reader, or None.
+def _load_table(source) -> np.ndarray | None:
+    """The numbers of ``source`` by NumPy's C reader, or None.
 
-    The reader splits rows on the whitespace ``str.split`` splits on and
-    converts each number as ``float`` does, but takes fewer spellings (no
-    underscores, no non-ASCII digits), rows of one length only, and UTF-8
-    only; it warns, raised here as an error, on a file with no numbers.
-    None when it refuses the file or reads a non-finite value, so the token
-    path decides the values or the error.
+    ``source`` is a file's path or a list of tokens, which the reader takes
+    as a one-column table.  It splits rows on the whitespace ``str.split``
+    splits on and converts each number as ``float`` does, but takes fewer
+    spellings (no underscores, no non-ASCII digits), rows of one length
+    only, and UTF-8 only; it warns, raised here as an error, on an input
+    with no numbers.  None when it refuses the input or reads a non-finite
+    value, so ``_parse_lines`` decides the values or the error.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = np.loadtxt(path, dtype=np.float64, comments=None, ndmin=1,
+            values = np.loadtxt(source, dtype=np.float64, comments=None, ndmin=1,
                                 encoding="utf-8-sig").reshape(-1)
     except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
         return None
@@ -173,44 +175,35 @@ def _load_table(path: str) -> np.ndarray | None:
 def _read_numbers(path: str) -> np.ndarray:
     """Numbers separated by whitespace or commas, from a file or stdin ("-").
 
-    A regular file of equal rows with no comma is read by NumPy's C reader
-    (``_load_table``), which makes no Python object per number: about 25
-    ms at n = 1e5, one number per line, against 33 ms for the token path
-    (2-vCPU Xeon).  Everything else takes the token path: stdin and pipes,
-    which the C reader would re-open after they were drained, and a file
-    with a comma or with first and last lines of different lengths, which
-    the C reader would refuse only at its end.  The token path splits the
-    whole text once, parses every token with ``float`` into a float64
-    array and checks finiteness vectorised; it also decides every file the
-    C reader refuses.  Only when a token fails to parse or is NaN/infinite
-    is the text re-read line by line (``_parse_lines``), so the error names
-    the first bad token's line exactly as a line-by-line parse would.
-    Both readers convert with Python's correctly rounded ``float``
-    conversion, so they give the same bits.
+    The input's bytes are read once, and NumPy's C reader (``_load_table``)
+    converts them with no Python object per number.  A regular file of
+    equal rows with no comma goes to it by its path, which it reads in
+    pieces: about 25 ms at n = 1e5, one number per line (2-vCPU Xeon).
+    Anything else is decoded once and goes to it as a token list: stdin and
+    pipes, which it would re-open once drained; a comma, or first and last
+    lines of different lengths, which it would refuse only at its end; and
+    a file it refused.  What it refuses there (a bad token, NaN or infinity,
+    a spelling such as ``1_000`` that only ``float`` takes) is re-read line
+    by line (``_parse_lines``), so an error names the first bad token's
+    line.  The C reader rounds as ``float`` does: every route gives the
+    same bits.
     """
     if path == "-":
-        stream = getattr(sys.stdin, "buffer", None)
-        if stream is None:  # a text stream with no bytes beneath it
-            text = sys.stdin.read().removeprefix("\ufeff")
-        else:
-            text = _decode(stream.read(), "<stdin>")
+        data, name = sys.stdin.buffer.read(), "<stdin>"
     else:
         with open(path, "rb") as fh:
-            data = fh.read()
+            data, name = fh.read(), path
             regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
         if regular and _one_table(data):
             values = _load_table(path)
             if values is not None:
                 return values
-        text = _decode(data, path)
-        del data  # 2 MB at n = 1e5, reused by the token list
+    text = _decode(data, name)
+    del data  # 2 MB at n = 1e5, reused by the token list
     tokens = text.replace(",", " ").split()
-    try:
-        values = np.fromiter(map(float, tokens), np.float64, count=len(tokens))
-    except ValueError:
-        values = None
+    values = _load_table(tokens)
     del tokens
-    if values is None or not np.isfinite(values).all():
+    if values is None:
         values = np.asarray(_parse_lines(text), dtype=np.float64)
     return values
 

@@ -4,7 +4,13 @@ Each distribution draws by inverse-CDF transform where the quantile
 function is closed-form; the normal, the Beta and Student's t use the
 generator's own samplers.  Randomness comes from counter-based Philox
 streams keyed by (master_seed, stream_id), so any (seed, stream) pair
-yields a bit-identical sequence regardless of platform or thread count.
+yields a bit-identical sequence regardless of thread count.  Across hosts
+only the normal, Beta and Student's t draws are bit-identical: the
+lognormal, cauchy, weibull, gumbel, exp, frechet and pareto transforms go
+through ``np.log``, ``exp``, ``tan``, ``log1p``, ``expm1`` and ``power``,
+whose last bits follow the SIMD code NumPy picks for the CPU (they change
+under ``NPY_DISABLE_CPU_FEATURES``).  The printed CSVs held under that
+setting.
 
 Specs parse from compact strings such as ``lognormal(mlog=0,sdlog=2)``
 or ``pareto(loc=1,shape=0.5)``; family names are case-insensitive.

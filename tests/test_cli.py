@@ -19,10 +19,12 @@ from madkit.distributions import DEFAULT_SENSITIVITY_SET, parse_spec
 
 
 def run_cli(argv, capsys, stdin=None, monkeypatch=None):
+    # Stdin as the console script gets it: a text stream over bytes, which
+    # the reader takes through its ``buffer``.
     if stdin is not None:
         import sys
 
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -291,6 +293,8 @@ class TestReadNumbers:
 
     @pytest.mark.parametrize("name", sorted(GOOD_INPUTS))
     def test_fast_path_same_doubles(self, name, tmp_path, monkeypatch):
+        # Underscores are a spelling only Python's float takes, so they, and
+        # only they, reach the line-by-line parse.
         import numpy as np
 
         from madkit import cli
@@ -299,12 +303,15 @@ class TestReadNumbers:
         expected = cli._parse_lines(text)
         path = tmp_path / "data.txt"
         path.write_text(text)
+        parse_lines, fallbacks = cli._parse_lines, []
 
-        def no_fallback(text):
-            raise AssertionError("valid input must not need the line-by-line parse")
+        def spy(text):
+            fallbacks.append(text)
+            return parse_lines(text)
 
-        monkeypatch.setattr(cli, "_parse_lines", no_fallback)
+        monkeypatch.setattr(cli, "_parse_lines", spy)
         got = cli._read_numbers(str(path))
+        assert len(fallbacks) == (name == "underscores")
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), np.asarray(expected).view(np.uint64))
 
@@ -328,8 +335,9 @@ class TestReadNumbers:
 
     @pytest.mark.parametrize("name", sorted(READER_CORPUS))
     def test_file_and_stdin_agree(self, name, capsys, monkeypatch, tmp_path):
-        # A regular file may take NumPy's C reader, stdin never does: both
-        # must give the token path's values, or its exit 2 and message.
+        # A regular file may reach NumPy's C reader by its path, stdin only as
+        # a token list: both must give _parse_lines's values, or its exit 2
+        # and message.
         import sys
 
         from madkit import cli
@@ -355,32 +363,38 @@ class TestReadNumbers:
         else:
             assert (code, out, err) == (2, "", f"madkit: {values}\n")
 
-    @pytest.mark.parametrize("name, called, used", [
-        ("one per line", True, True), ("uniform columns", True, True),
-        ("one long line", True, True), ("bom", True, True),
-        ("ragged mid-file", True, False), ("comma list", False, False),
-        ("ragged late", False, False),
+    @pytest.mark.parametrize("name, sources, used", [
+        ("one per line", "path", True), ("uniform columns", "path", True),
+        ("one long line", "path", True), ("bom", "path", True),
+        ("ragged mid-file", "path, tokens", True), ("comma list", "tokens", True),
+        ("ragged late", "tokens", True), ("underscore", "path, tokens", False),
     ])
-    def test_which_files_take_the_c_reader(self, name, called, used, tmp_path, monkeypatch):
-        # A comma or a first and last line of different lengths skip the C
-        # reader; a row that changes length mid-file makes it fail.
+    def test_which_files_take_the_c_reader(self, name, sources, used, tmp_path, monkeypatch):
+        # A comma or a first and last line of different lengths skip the
+        # path; a row that changes length mid-file makes the path fail.  The
+        # C reader then gets the token list, and a spelling it refuses goes
+        # to the line-by-line parse.
         from madkit import cli
 
         path = tmp_path / "data.txt"
         path.write_bytes(READER_CORPUS[name])
+        text = READER_CORPUS[name].decode("utf-8").removeprefix("\ufeff")
         calls, results = [], []
         loadtxt = np.loadtxt
 
         def spy(*args, **kwargs):
-            calls.append(args[0])
+            if args[0] == str(path):
+                calls.append("path")
+            else:
+                assert args[0] == text.replace(",", " ").split()
+                calls.append("tokens")
             results.append(loadtxt(*args, **kwargs))
             return results[-1]
 
         monkeypatch.setattr(np, "loadtxt", spy)
         got = cli._read_numbers(str(path))
-        assert calls == ([str(path)] if called else [])
-        assert (bool(results) and np.shares_memory(got, results[0])) == used
-        text = READER_CORPUS[name].decode("utf-8").removeprefix("\ufeff")
+        assert ", ".join(calls) == sources
+        assert (bool(results) and np.shares_memory(got, results[-1])) == used
         assert np.array_equal(_bits(got), _bits(cli._parse_lines(text)))
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
@@ -682,10 +696,15 @@ class TestFitCommand:
         assert code == 0
         assert body_of(out).strip().splitlines()[1].split(",")[0] == "hd"
 
-    def test_bad_range_exits_2(self, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ("abc", "expected LOW..HIGH, got 'abc'"),
+        ("a..b", "expected numeric bounds in 'a..b'"),
+    ])
+    def test_bad_range_exits_2(self, text, message, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["fit", "--range", "abc"])
+            main(["fit", "--range", text])
         assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(f"argument --range: {message}\n")
 
 
 class TestTablesCommand:

@@ -83,6 +83,12 @@ class TestParsing:
         with pytest.raises(DistributionSpecError):
             parse_spec(bad)
 
+    @pytest.mark.parametrize("text", ["triangular(a=2,b=1,c=1.5)", "uniform(a=1,b=0)"])
+    def test_bounds_out_of_order_named(self, text):
+        family = text.partition("(")[0]
+        with pytest.raises(DistributionSpecError, match=f"^{family}: need a < b$"):
+            parse_spec(text)
+
     @pytest.mark.parametrize("family", sorted(_FAMILIES))
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_rejects_non_finite_parameters(self, family, value):

@@ -516,6 +516,18 @@ def test_rejects_one_dimensional_samples():
         mad0_batch(np.zeros(5), np.full(5, 0.2))
 
 
+@pytest.mark.parametrize("shape", [(5, 0), (1, 0), (0, 0)])
+def test_rejects_rows_of_no_values(shape):
+    with pytest.raises(ValueError, match=rf"at least one value per row, got shape \({shape[0]}, 0\)"):
+        mad0_batch(np.zeros(shape), np.empty(0))
+
+
+def test_no_rows_give_an_empty_result():
+    weights = median_weights(3, SM)
+    assert mad0_batch(np.zeros((0, 3)), weights).shape == (0,)
+    assert mad0_batch(np.zeros((0, 3)), np.stack([weights] * 2)).shape == (2, 0)
+
+
 # --- Per-thread scratch -----------------------------------------------------
 
 

@@ -318,6 +318,16 @@ class TestMedianDispatch:
         assert parse_estimator("thd(0.25)") == thd(0.25)
         with pytest.raises(DomainError):
             parse_estimator("median")
+        with pytest.raises(DomainError, match=r"^bad thd width in 'thd\(x\)'$"):
+            parse_estimator("thd(x)")
+
+    @pytest.mark.parametrize("weights", [
+        lambda: hd_weights(0, 0.5), lambda: thd_weights(0, 0.5, 0.5),
+        lambda: median_weights(0, SM), lambda: median_weights(0, HD),
+    ], ids=["hd", "thd", "median-sm", "median-hd"])
+    def test_weights_need_a_sample(self, weights):
+        with pytest.raises(SampleError, match="^need n >= 1, got 0$"):
+            weights()
 
     def test_labels(self):
         assert SM.label == "sm" and HD.label == "hd"
@@ -333,6 +343,8 @@ class TestMedianDispatch:
         assert parse_estimator(thd(width).label) == thd(width)
 
     def test_kind_validation(self):
+        with pytest.raises(DomainError, match="^unknown estimator kind 'foo'$"):
+            MedianEstimator("foo")
         with pytest.raises(DomainError):
             MedianEstimator("sm", width=0.5)
         with pytest.raises(DomainError):

@@ -202,6 +202,22 @@ class TestBetaPdf:
         assert beta_pdf(0.0, BetaParams(2.0, 2.0)) == 0.0
         assert beta_pdf(1.0, BetaParams(2.0, 2.0)) == 0.0
 
+    @pytest.mark.parametrize("v, params", [(0.0, BetaParams(1.0, 3.0)),
+                                           (1.0, BetaParams(3.0, 1.0))])
+    def test_boundary_with_exponent_zero_is_one_over_beta(self, v, params):
+        # 3 (1 - x)^2 at x = 0 and 3 x^2 at x = 1: 1 / B(1, 3) = 3.
+        assert beta_pdf(v, params) == pytest.approx(3.0, rel=1e-13)
+
+    @pytest.mark.parametrize("v, params", [(0.0, BetaParams(0.5, 3.0)),
+                                           (1.0, BetaParams(2.0, 0.5))])
+    def test_infinite_at_boundary_when_shape_below_one(self, v, params):
+        assert beta_pdf(v, params) == math.inf
+
+    @pytest.mark.parametrize("v", [1.5, -0.5])
+    def test_rejects_v_outside_the_unit_interval(self, v):
+        with pytest.raises(DomainError, match=rf"^v must lie in \[0, 1\], got {v}$"):
+            beta_pdf(v, BetaParams(2.0, 2.0))
+
     def test_integrates_to_one(self):
         import numpy as np
 
