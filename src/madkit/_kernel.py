@@ -132,9 +132,8 @@ _NARROW_MAX_WIDTH = 12
 # their deviations (2.1 MB), for rows of 2 to 12 values two ``(n + 1,
 # _WIRE_ROWS)`` wire buffers (up to 3.4 MB at n = 12).  A study draws each
 # block of a chunk into the start of the second buffer
-# (``simulate._run_cells``), so its samples take no scratch of their own;
-# the samplers in ``madkit.distributions`` fill their output in pieces of
-# this size, so a draw's temporaries are one piece long.
+# (``simulate._run_cells``), so its samples take no scratch of their own,
+# and the temporaries of its draw are the size of that block.
 _BLOCK_VALUES = 1 << 17
 
 # Rows per block on the wire path: a study chunk (``simulate._CHUNK_ROWS``),

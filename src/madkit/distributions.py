@@ -4,13 +4,15 @@ Each distribution draws by inverse-CDF transform where the quantile
 function is closed-form; the normal, the Beta and Student's t use the
 generator's own samplers.  Randomness comes from counter-based Philox
 streams keyed by (master_seed, stream_id), so any (seed, stream) pair
-yields a bit-identical sequence regardless of thread count.  Across hosts
-only the normal, Beta and Student's t draws are bit-identical: the
-lognormal, cauchy, weibull, gumbel, exp, frechet and pareto transforms go
-through ``np.log``, ``exp``, ``tan``, ``log1p``, ``expm1`` and ``power``,
-whose last bits follow the SIMD code NumPy picks for the CPU (they change
-under ``NPY_DISABLE_CPU_FEATURES``).  The printed CSVs held under that
-setting.
+yields a bit-identical sequence regardless of thread count.  Not every
+pair has a stream of its own: a key with one word at or above 2**63 and
+the other below it keeps 53 significant bits of each (see ``RngStream``;
+ROADMAP item 9).  Across hosts only the normal, Beta and Student's t
+draws are bit-identical: the lognormal, cauchy, weibull, gumbel, exp,
+frechet and pareto transforms go through ``np.log``, ``exp``, ``tan``,
+``log1p`` and ``power``, whose last bits follow the SIMD code NumPy picks
+for the CPU (they change under ``NPY_DISABLE_CPU_FEATURES``).  The printed
+CSVs held under that setting.
 
 Specs parse from compact strings such as ``lognormal(mlog=0,sdlog=2)``
 or ``pareto(loc=1,shape=0.5)``; family names are case-insensitive.
@@ -24,7 +26,6 @@ from typing import Callable, Union
 
 import numpy as np
 
-from madkit._kernel import _BLOCK_VALUES
 from madkit.errors import DistributionSpecError
 from madkit.quantiles import _format_param
 
@@ -57,7 +58,17 @@ def derive_stream_id(*parts: int) -> int:
 
 @dataclass(frozen=True)
 class RngStream:
-    """A named position in the random-number space: (master_seed, stream_id)."""
+    """A named position in the random-number space: (master_seed, stream_id).
+
+    Each word is taken modulo 2**64 into a Philox key.  Two positions can
+    share a stream: when one word is at or above 2**63 and the other below
+    it, NumPy reads the key list as float64 and each word keeps 53
+    significant bits, so ``RngStream(5, 2**63)`` and ``RngStream(5, 2**63
+    + 1)`` draw the same values, as do ``RngStream(2**60, 2**63)`` and
+    ``RngStream(2**60 + 1, 2**63)``; ``RngStream(5, 2**62)`` and
+    ``RngStream(5, 2**62 + 1)`` do not.  The fix, ROADMAP item 9, moves
+    every seeded output.
+    """
 
     master_seed: int
     stream_id: int = 0
@@ -67,23 +78,10 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _pieces(out: np.ndarray) -> list[np.ndarray]:
-    """C-contiguous ``out`` as consecutive flat views of ``_BLOCK_VALUES`` values.
-
-    The last piece holds the remainder.  A family that needs a second array
-    fills ``out`` piece by piece, so that array is one piece long whatever
-    the size of ``out``.
-    """
-    flat = out.reshape(-1)
-    return [flat[i:i + _BLOCK_VALUES] for i in range(0, flat.size, _BLOCK_VALUES)]
-
-
 def _open_uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     # Uniform on the open interval (0, 1): keeps every log/tan transform finite.
     # The integers are below 2**53, so their cast to float64 is exact.
-    for piece in _pieces(out):
-        np.multiply(rng.integers(1, 1 << 53, size=piece.size), 2.0**-53, out=piece)
-    return out
+    return np.multiply(rng.integers(1, 1 << 53, size=out.shape), 2.0**-53, out=out)
 
 
 # A family's draw fills ``out`` (float64, C-contiguous) in place and returns
@@ -91,13 +89,13 @@ def _open_uniform(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 # operators, each the same operation on the same operands as the
 # expression in its comment, so the values do not depend on which buffer
 # is filled.  A second array (the integers behind a uniform, a Beta or
-# Student's t variate, triangular's upper branch) is drawn or computed one
-# piece of ``out`` at a time, in the order of the pieces.  The stream gives
-# the same values as one draw of the whole: a bounded 64-bit ``integers``,
-# ``standard_normal``, ``beta`` and ``standard_t`` draw each value's
-# variates one after another and keep nothing from one call to the next,
-# so consecutive draws of one generator read it as one draw does.  A
-# chunk is therefore drawn block by block from one generator.
+# Student's t variate, triangular's upper branch) is the size of ``out``:
+# a study draws one kernel block at a time, so it is one block long.  A
+# bounded 64-bit ``integers``, ``standard_normal``, ``beta`` and
+# ``standard_t`` draw each value's variates one after another and keep
+# nothing from one call to the next, so consecutive draws of one
+# generator read it as one draw does.  A chunk is therefore drawn block by
+# block from one generator.
 DrawFn = Callable[[np.random.Generator, np.ndarray, dict], np.ndarray]
 
 
@@ -129,26 +127,25 @@ def _draw_triangular(rng, out, p):
     # end, in the branch that no value takes.
     a, b, c = p["a"], p["b"], p["c"]
     fc = (c - a) / (b - a)
-    for u in _pieces(_open_uniform(rng, out)):
-        upper = u >= fc
-        with np.errstate(invalid="ignore"):
-            hi = np.subtract(1.0, u)
-            hi *= b - a
-            hi *= b - c
-            np.sqrt(hi, out=hi)
-            np.subtract(b, hi, out=hi)
-            u *= b - a
-            u *= c - a
-            np.sqrt(u, out=u)
-            np.add(a, u, out=u)
-        np.copyto(u, hi, where=upper)
-    return out
+    u = _open_uniform(rng, out)
+    upper = u >= fc
+    with np.errstate(invalid="ignore"):
+        hi = np.subtract(1.0, u)
+        hi *= b - a
+        hi *= b - c
+        np.sqrt(hi, out=hi)
+        np.subtract(b, hi, out=hi)
+        u *= b - a
+        u *= c - a
+        np.sqrt(u, out=u)
+        np.add(a, u, out=u)
+    np.copyto(u, hi, where=upper)
+    return u
 
 
 def _draw_beta(rng, out, p):
     # rng.beta(a, b), which has no ``out=``
-    for piece in _pieces(out):
-        np.copyto(piece, rng.beta(p["a"], p["b"], size=piece.size))
+    np.copyto(out, rng.beta(p["a"], p["b"], size=out.shape))
     return out
 
 
@@ -161,11 +158,8 @@ def _draw_normal(rng, out, p):
 
 
 def _draw_weibull(rng, out, p):
-    # scale * (-log1p(-u)) ** (1 / shape)
-    u = _open_uniform(rng, out)
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    np.negative(u, out=u)
+    # scale * e ** (1 / shape), e a standard exponential
+    u = _draw_exponential(rng, out, {"rate": 1.0})
     u **= 1.0 / p["shape"]
     u *= p["scale"]
     return u
@@ -173,8 +167,7 @@ def _draw_weibull(rng, out, p):
 
 def _draw_student(rng, out, p):
     # rng.standard_t(df), which has no ``out=``
-    for piece in _pieces(out):
-        np.copyto(piece, rng.standard_t(p["df"], size=piece.size))
+    np.copyto(out, rng.standard_t(p["df"], size=out.shape))
     return out
 
 
@@ -219,11 +212,9 @@ def _draw_pareto(rng, out, p):
 
 
 def _draw_lognormal(rng, out, p):
-    # exp(mlog + sdlog * z)
-    z = rng.standard_normal(out=out)
-    z *= p["sdlog"]
-    z += p["mlog"]
-    return np.exp(z, out=z)
+    # exp(x), x a normal(mlog, sdlog)
+    x = _draw_normal(rng, out, {"m": p["mlog"], "sd": p["sdlog"]})
+    return np.exp(x, out=x)
 
 
 def _draw_frechet(rng, out, p):
@@ -327,10 +318,11 @@ class DistributionSpec:
 
         ``out``, a writeable C-contiguous float64 array of shape ``size``,
         receives the draws and is returned; it gets the values a fresh
-        array would.  Beyond ``out``, a draw allocates at most a few arrays
-        of ``_kernel._BLOCK_VALUES`` values, whatever ``size`` is.
-        Consecutive draws from one generator give the values of one draw of
-        their total size, so a chunk may be drawn block by block.
+        array would.  Beyond ``out``, a draw holds a few temporaries the
+        size of ``out``, as NumPy's ``Generator.beta(size=...)`` does, so a
+        caller bounds them by what it draws at once.  Consecutive draws
+        from one generator give the values of one draw of their total size,
+        so a chunk may be drawn block by block.
         """
         shape = tuple(size) if np.iterable(size) else (size,)
         if out is None:

@@ -120,7 +120,11 @@ class SimulationConfig:
     sample size, estimator or distribution may repeat: its cells would draw
     the same samples and compute the same rows twice.  ``master_seed`` lies
     in [0, 2**64), the range of a Philox key word: a seed outside it would
-    alias one inside.  The three tuple fields take any iterable.
+    alias one inside.  Seeds inside it alias too: where a chunk's stream id
+    and the seed lie on opposite sides of 2**63, the key keeps 53
+    significant bits of each, so seeds that differ only in their low bits
+    can share that chunk's stream (``RngStream``; ROADMAP item 9, whose fix
+    moves every seeded output).  The three tuple fields take any iterable.
     """
 
     sample_sizes: tuple[int, ...]
@@ -139,9 +143,10 @@ class SimulationConfig:
             object.__setattr__(self, name, tuple(items))
         object.__setattr__(self, "sample_sizes", tuple(
             _integer("each of sample_sizes", n, ConfigError) for n in self.sample_sizes))
-        bad = [d for d in self.distributions if not isinstance(d, DistributionSpec)]
-        if bad:
-            raise ConfigError(f"each of distributions must be a DistributionSpec, got {bad[0]!r}")
+        for name, kind in (("estimators", MedianEstimator), ("distributions", DistributionSpec)):
+            bad = [item for item in getattr(self, name) if not isinstance(item, kind)]
+            if bad:
+                raise ConfigError(f"each of {name} must be a {kind.__name__}, got {bad[0]!r}")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if not self.sample_sizes:

@@ -277,7 +277,7 @@ DRAW_SPECS = tuple(DEFAULT_SENSITIVITY_SET) + tuple(parse_spec(t) for t in (
 
 class TestDrawInto:
     @pytest.mark.parametrize("spec", DRAW_SPECS, ids=str)
-    # (50001, 7) spans two pieces of _BLOCK_VALUES values and a remainder.
+    # (50001, 7) is 350,007 values, more than any block a study draws.
     @pytest.mark.parametrize("shape", [(50001, 7), (4096, 5), (3, 7), (11,)])
     def test_out_gets_the_values_of_a_fresh_draw(self, spec, shape):
         def rng():
@@ -319,8 +319,9 @@ class TestDrawInto:
     @pytest.mark.parametrize("spec", DRAW_SPECS, ids=str)
     @pytest.mark.parametrize("layout", ["transposed", "strided", "read-only"])
     def test_rejects_out_it_cannot_fill_in_place(self, spec, layout):
-        # A flat piece of a strided out would be a copy, and the draw would
-        # return out unfilled; the check comes before anything is drawn.
+        # NumPy's ``standard_normal(out=...)`` refuses such an out, and Beta
+        # or Student's t would draw before failing to write; the check
+        # comes before anything is drawn, for every family.
         if layout == "transposed":
             out = np.zeros((5, 4)).T
         elif layout == "strided":
@@ -335,26 +336,21 @@ class TestDrawInto:
         assert not out.any()
 
     @pytest.mark.parametrize("spec", DRAW_SPECS, ids=str)
-    @pytest.mark.parametrize("how", ["whole", "blocks"])
-    def test_temporaries_are_pieces_not_a_chunk(self, spec, how):
-        # Beyond out, a (16384, 100) chunk, drawn whole or in kernel blocks
-        # from one generator, allocates a few arrays of one piece each; a
-        # second array the size of the chunk would be 12.5 MiB.
-        shape = (16384, 100)
-        out = np.empty(shape if how == "whole" else (_BLOCK_VALUES // 100, 100))
+    @pytest.mark.parametrize("shape", [(1310, 100), (16384, 12)], ids=["n100", "n12"])
+    def test_temporaries_of_one_block_stay_near_its_size(self, spec, shape):
+        # A study draws one kernel block at a time: 1310 rows at n = 100,
+        # the whole 16384-row chunk at n = 12.  Beyond out, the draw holds
+        # at most triangular's upper branch and its mask, 1.125x the
+        # block's bytes; a second block-sized array would be 2x.
+        out = np.empty(shape)
         rng = RngStream(5).generator()
         tracemalloc.start()
         try:
-            if how == "whole":
-                spec.draw(rng, shape, out=out)
-            else:
-                for _ in _blocks(lambda block: spec.draw(rng, block.shape, out=block),
-                                 shape[0], out):
-                    pass
+            spec.draw(rng, shape, out=out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * _BLOCK_VALUES * 8, spec
+        assert peak <= 1.25 * out.nbytes, spec
 
 
 def _blocks(fill, count, block):
@@ -366,10 +362,11 @@ def _blocks(fill, count, block):
 
 
 # (chunk shape, rows per block): one row per block; an odd block size that
-# leaves a remainder; a chunk of more than one _BLOCK_VALUES piece in
-# blocks of the kernel's size; a row wider than a piece.
+# leaves a remainder; blocks of 2^17 values and a remainder; a row wider
+# than 2^17 values; the study's n = 12 blocks, a whole 16384-row chunk
+# (196,608 values) each, and a 7232-row remainder.
 BLOCKINGS = [((37, 5), 1), ((1000, 7), 13), ((50001, 7), _BLOCK_VALUES // 7),
-             ((2, _BLOCK_VALUES + 3), 1)]
+             ((2, _BLOCK_VALUES + 3), 1), ((40000, 12), 16384)]
 
 
 class TestBlockByBlock:

@@ -17,7 +17,7 @@ import pytest
 import madkit.simulate as simulate
 from madkit._kernel import mad0_batch
 from madkit.distributions import RngStream, derive_stream_id, parse_spec
-from madkit.errors import ConfigError, DomainError
+from madkit.errors import ConfigError
 from madkit.mad import _Q75 as Q75
 from madkit.mad import correction_factor, factor_table, mad_corrected
 from madkit.quantiles import HD, SM, THD_SQRT, median_weights, thd
@@ -96,11 +96,12 @@ class TestConfig:
                            match="^each of distributions must be a DistributionSpec, got 'normal'$"):
             make_config(distributions=(parse_spec("cauchy"), "normal"))
 
-    def test_study_refuses_an_estimator_label(self):
-        # The estimators' element check is median_weights', which every
-        # study's weight stack goes through.
-        with pytest.raises(DomainError, match="^the estimator must be a MedianEstimator, got 'sm'$"):
-            estimate_factors(make_config(estimators=("sm",)))
+    @pytest.mark.parametrize("estimators,bad", [(["sm"], "sm"), ((SM, "hd"), "hd")])
+    def test_refuses_an_estimator_that_is_not_a_median_estimator(self, estimators, bad):
+        # A label is not an estimator: a study would fail on it in median_weights.
+        with pytest.raises(ConfigError,
+                           match=f"^each of estimators must be a MedianEstimator, got {bad!r}$"):
+            make_config(estimators=estimators)
 
 
     @pytest.mark.parametrize("field,value", [
